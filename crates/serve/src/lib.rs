@@ -14,11 +14,14 @@
 //! * [`cache`] — a sharded, LRU-bounded, single-flight body cache;
 //! * `fleet` — asynchronous fleet jobs (`POST /v1/fleet`, polled via
 //!   `GET /v1/fleet/{id}`), content-addressed by canonical spec;
-//! * [`http`] — a minimal HTTP/1.1 subset with read deadlines;
-//! * [`server`] — routing, admission control, and the drain path;
+//! * [`http`] — a minimal HTTP/1.1 subset: persistent connections,
+//!   `Content-Length` framing, read deadlines;
+//! * [`server`] — the accept loop, routing, admission control, and the
+//!   drain path;
 //! * [`metrics`] — counters, latency quantiles, and folded trace
 //!   summaries for `/metrics`;
-//! * [`signal`] — SIGTERM/SIGINT → drain, without a signals crate;
+//! * [`signal`] — SIGTERM/SIGINT as a blocking wait, without a signals
+//!   crate;
 //! * [`bench`] — the closed-loop load generator behind
 //!   `nvp-serve bench` and `BENCH_serve.json`.
 //!
@@ -39,4 +42,4 @@ pub mod signal;
 
 pub use cache::{Flight, FlightError, LeaderToken, Lookup, ResultCache};
 pub use key::{BadRequest, ModeSpec, SimKey, SweepSpec};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, ShutdownHandle};

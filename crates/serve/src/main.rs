@@ -89,6 +89,13 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     // The ephemeral-port contract: scripts parse this exact line.
     println!("listening on {}", server.addr());
+    // The bridge stays blocked, and dies with the process, when the
+    // drain comes from `POST /shutdown` instead.
+    let shutdown = server.shutdown_handle();
+    std::thread::spawn(move || {
+        signal::wait();
+        shutdown.shutdown();
+    });
     server.run();
     eprintln!("drained, exiting");
     ExitCode::SUCCESS

@@ -83,6 +83,10 @@ impl LatencyHistogram {
 /// All counters the service exports on `/metrics`.
 #[derive(Debug, Default)]
 pub struct Metrics {
+    /// TCP connections accepted, including those refused at the cap.
+    pub connections_accepted: AtomicU64,
+    /// Gauge: connections a handler thread is serving right now.
+    pub connections_open: AtomicU64,
     /// Total HTTP requests accepted for parsing.
     pub requests: AtomicU64,
     /// Responses by coarse class.
@@ -167,6 +171,8 @@ impl Metrics {
             out.push('\n');
         };
         for (name, counter) in [
+            ("nvp_connections_accepted_total", &self.connections_accepted),
+            ("nvp_connections_open", &self.connections_open),
             ("nvp_requests_total", &self.requests),
             ("nvp_responses_ok_total", &self.ok),
             ("nvp_responses_bad_request_total", &self.bad_request),
@@ -286,9 +292,12 @@ mod tests {
     #[test]
     fn render_contains_every_counter() {
         let m = Metrics::default();
+        bump(&m.connections_accepted);
         bump(&m.requests);
         bump(&m.cache_hits);
         let text = m.render(3, 7);
+        assert!(text.contains("nvp_connections_accepted_total 1\n"));
+        assert!(text.contains("nvp_connections_open 0\n"));
         assert!(text.contains("nvp_requests_total 1\n"));
         assert!(text.contains("nvp_cache_hits_total 1\n"));
         assert!(text.contains("nvp_queue_depth 3\n"));

@@ -1,4 +1,10 @@
-//! The service itself: routing, admission control, and the drain path.
+//! The service itself: the accept loop, routing, admission control, and
+//! the drain path.
+//!
+//! Each accepted connection gets one handler thread, which serves that
+//! connection's requests in order until the client or the response
+//! closes it (see [`http`](crate::http)). `max_connections` caps the
+//! open connections, and with them the handler threads.
 //!
 //! Request lifecycle for `POST /v1/run`:
 //!
@@ -17,18 +23,17 @@
 //! determinism work makes checkable.
 
 use crate::cache::{FlightError, Lookup, ResultCache};
-use crate::http::{read_request, RecvError, Request, Response};
+use crate::http::{Connection, RecvError, Request, Response};
 use crate::json::Json;
 use crate::key::{BadRequest, SimKey, SweepSpec};
 use crate::metrics::{bump, Metrics};
-use crate::signal;
 use nvp_exec::ServicePool;
 use nvp_kernels::KernelId;
 use nvp_sim::RunReport;
 use nvp_trace::{CounterSink, JsonlBufSink, TeeSink};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,7 +48,8 @@ pub struct ServerConfig {
     pub queue: usize,
     /// Result-cache capacity in bodies.
     pub cache: usize,
-    /// Per-request read deadline for slow clients.
+    /// Per-request read deadline for slow clients; also how long a kept
+    /// connection may sit idle before it is closed.
     pub read_deadline: Duration,
     /// Largest accepted request body.
     pub max_body: usize,
@@ -75,15 +81,35 @@ pub(crate) struct Inner {
     /// `shutdown(self)` consumes the pool, so it lives behind an Option.
     pub(crate) pool: Mutex<Option<ServicePool>>,
     pub(crate) fleet: crate::fleet::FleetJobs,
-    draining: AtomicBool,
-    active: AtomicUsize,
+    shutdown: ShutdownHandle,
 }
 
 /// A bound-but-not-yet-running service.
 pub struct Server {
     listener: TcpListener,
-    addr: SocketAddr,
     inner: Arc<Inner>,
+}
+
+/// Starts a server's drain from any thread. `POST /shutdown` uses it, and
+/// `nvp-serve serve` bridges SIGTERM/SIGINT to it.
+#[derive(Debug, Clone)]
+pub struct ShutdownHandle {
+    addr: SocketAddr,
+    draining: Arc<AtomicBool>,
+}
+
+impl ShutdownHandle {
+    /// Sets the drain flag, then wakes the blocking accept loop with a
+    /// loopback connect so it sees the flag. Calling it again is harmless.
+    pub fn shutdown(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        // Refused once the listener is gone, which means the loop ended.
+        let _ = TcpStream::connect(self.addr);
+    }
+
+    fn is_draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
 }
 
 impl Server {
@@ -96,20 +122,23 @@ impl Server {
             metrics: Arc::new(Metrics::default()),
             pool: Mutex::new(Some(ServicePool::new(config.workers, config.queue))),
             fleet: crate::fleet::FleetJobs::default(),
-            draining: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
+            shutdown: ShutdownHandle {
+                addr,
+                draining: Arc::new(AtomicBool::new(false)),
+            },
             config,
         });
-        Ok(Server {
-            listener,
-            addr,
-            inner,
-        })
+        Ok(Server { listener, inner })
     }
 
     /// The bound address (reports the OS-assigned port under `port: 0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.shutdown.addr
+    }
+
+    /// A handle that makes [`run`](Server::run) drain and return.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.inner.shutdown.clone()
     }
 
     /// Shared metrics handle (for the load generator's summary).
@@ -117,60 +146,59 @@ impl Server {
         Arc::clone(&self.inner.metrics)
     }
 
-    /// Serves until `POST /shutdown` or SIGTERM, then drains: the
-    /// listener stops accepting, queued jobs run to completion, in-flight
-    /// responses are written, and only then does this return.
+    /// Serves until the [`ShutdownHandle`] fires, then drains: the
+    /// listener closes, queued jobs run to completion, in-flight
+    /// responses are written, idle connections are closed, and only then
+    /// does this return.
     pub fn run(self) {
-        self.listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        loop {
-            if self.inner.draining.load(Ordering::SeqCst) || signal::shutdown_requested() {
+        let Server { listener, inner } = self;
+        for stream in listener.incoming() {
+            if inner.shutdown.is_draining() {
                 break;
             }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let inner = Arc::clone(&self.inner);
-                    // The cap counts accepted-and-unfinished connections;
-                    // over it we answer 503 inline rather than spawn.
-                    if inner.active.load(Ordering::SeqCst) >= inner.config.max_connections {
-                        bump(&inner.metrics.unavailable);
-                        let mut stream = stream;
-                        Response::new(503)
-                            .header("Retry-After", "1")
-                            .json(error_body("server", "connection limit reached"))
-                            .send(&mut stream);
-                        continue;
-                    }
-                    inner.active.fetch_add(1, Ordering::SeqCst);
-                    std::thread::spawn(move || {
-                        handle_connection(&inner, stream);
-                        inner.active.fetch_sub(1, Ordering::SeqCst);
-                    });
+            let stream = match stream {
+                Ok(stream) => stream,
+                // Accept keeps failing while the process is out of file
+                // descriptors; back off rather than spin.
+                Err(_) => {
+                    std::thread::sleep(Duration::from_millis(1));
+                    continue;
                 }
-                // The poll interval bounds both shutdown-flag latency and
-                // the accept delay a fresh connection can see; 500µs keeps
-                // cache-hit latency dominated by real work, not polling.
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-                Err(_) => std::thread::sleep(Duration::from_micros(500)),
+            };
+            bump(&inner.metrics.connections_accepted);
+            let Ok(mut conn) = Connection::new(stream) else {
+                continue;
+            };
+            let open = &inner.metrics.connections_open;
+            // Over the cap we answer 503 inline rather than spawn.
+            if open.load(Ordering::SeqCst) >= inner.config.max_connections as u64 {
+                bump(&inner.metrics.unavailable);
+                let refusal = Response::new(503)
+                    .header("Retry-After", "1")
+                    .json(error_body("server", "connection limit reached"));
+                conn.send(&refusal, false);
+                continue;
             }
+            open.fetch_add(1, Ordering::SeqCst);
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || {
+                handle_connection(&inner, conn);
+                inner
+                    .metrics
+                    .connections_open
+                    .fetch_sub(1, Ordering::SeqCst);
+            });
         }
-        // Drain: stop accepting (listener drops at end of scope), let
-        // every queued simulation finish so no flight is left dangling,
-        // then wait for handler threads to write their responses.
-        if let Some(pool) = self
-            .inner
-            .pool
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take()
-        {
+        // Drain: refuse new connections, let every queued simulation
+        // finish so no flight is left dangling, then wait for handler
+        // threads to write their responses. Idle handlers see the drain
+        // flag within one read wake-up.
+        drop(listener);
+        if let Some(pool) = inner.pool.lock().unwrap_or_else(|p| p.into_inner()).take() {
             pool.shutdown();
         }
         let drain_start = Instant::now();
-        while self.inner.active.load(Ordering::SeqCst) > 0
+        while inner.metrics.connections_open.load(Ordering::SeqCst) > 0
             && drain_start.elapsed() < Duration::from_secs(10)
         {
             std::thread::sleep(Duration::from_millis(5));
@@ -195,55 +223,62 @@ fn bad_request_response(err: &BadRequest) -> Response {
     Response::new(400).json(error_body(err.field, &err.detail))
 }
 
-fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
-    let request = match read_request(
-        &mut stream,
-        inner.config.read_deadline,
-        inner.config.max_body,
-    ) {
-        Ok(req) => req,
-        Err(RecvError::Closed) => return,
-        Err(RecvError::Io(_)) => return,
-        Err(RecvError::Timeout) => {
-            bump(&inner.metrics.timeouts);
-            Response::new(408)
-                .json(error_body("request", "read deadline exceeded"))
-                .send(&mut stream);
+fn handle_connection(inner: &Arc<Inner>, mut conn: Connection) {
+    loop {
+        let request = match conn.read_request(
+            inner.config.read_deadline,
+            inner.config.max_body,
+            &inner.shutdown.draining,
+        ) {
+            Ok(req) => req,
+            Err(RecvError::Closed) | Err(RecvError::Io(_)) => return,
+            Err(RecvError::Timeout) => {
+                bump(&inner.metrics.timeouts);
+                let timeout =
+                    Response::new(408).json(error_body("request", "read deadline exceeded"));
+                conn.send(&timeout, false);
+                return;
+            }
+            Err(RecvError::TooLarge) => {
+                bump(&inner.metrics.too_large);
+                let refusal =
+                    Response::new(413).json(error_body("body", "request exceeds size limit"));
+                conn.send(&refusal, false);
+                conn.drain_input(1024 * 1024);
+                return;
+            }
+            Err(RecvError::Malformed(reason)) => {
+                bump(&inner.metrics.bad_request);
+                conn.send(
+                    &Response::new(400).json(error_body("request", reason)),
+                    false,
+                );
+                conn.drain_input(64 * 1024);
+                return;
+            }
+        };
+        bump(&inner.metrics.requests);
+        let response = route(inner, &request);
+        match response.status() {
+            200 => bump(&inner.metrics.ok),
+            400 => bump(&inner.metrics.bad_request),
+            404 | 405 => bump(&inner.metrics.not_found),
+            413 => bump(&inner.metrics.too_large),
+            429 => bump(&inner.metrics.rejected),
+            500 => bump(&inner.metrics.failures),
+            503 => bump(&inner.metrics.unavailable),
+            _ => {}
+        }
+        let shutdown = request.method == "POST" && request.path == "/shutdown";
+        let keep_alive = !(request.close || shutdown || inner.shutdown.is_draining());
+        let kept = conn.send(&response, keep_alive);
+        // /shutdown starts the drain only after its 200 is on the wire.
+        if shutdown {
+            inner.shutdown.shutdown();
+        }
+        if !kept {
             return;
         }
-        Err(RecvError::TooLarge) => {
-            bump(&inner.metrics.too_large);
-            Response::new(413)
-                .json(error_body("body", "request exceeds size limit"))
-                .send(&mut stream);
-            crate::http::drain_input(&mut stream, 1024 * 1024);
-            return;
-        }
-        Err(RecvError::Malformed(reason)) => {
-            bump(&inner.metrics.bad_request);
-            Response::new(400)
-                .json(error_body("request", reason))
-                .send(&mut stream);
-            crate::http::drain_input(&mut stream, 64 * 1024);
-            return;
-        }
-    };
-    bump(&inner.metrics.requests);
-    let response = route(inner, &request);
-    match response.status() {
-        200 => bump(&inner.metrics.ok),
-        400 => bump(&inner.metrics.bad_request),
-        404 | 405 => bump(&inner.metrics.not_found),
-        413 => bump(&inner.metrics.too_large),
-        429 => bump(&inner.metrics.rejected),
-        500 => bump(&inner.metrics.failures),
-        503 => bump(&inner.metrics.unavailable),
-        _ => {}
-    }
-    response.send(&mut stream);
-    // /shutdown flips the drain flag only after its 200 is on the wire.
-    if request.method == "POST" && request.path == "/shutdown" {
-        inner.draining.store(true, Ordering::SeqCst);
     }
 }
 

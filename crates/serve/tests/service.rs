@@ -1,16 +1,17 @@
 //! End-to-end tests of the running service over real sockets.
 //!
 //! Each test boots a server on an ephemeral port (`port: 0`), drives it
-//! with the same minimal HTTP client the load generator uses, and shuts
-//! it down through `POST /shutdown` — the same code path SIGTERM trips,
-//! so the drain logic is exercised without sending signals.
+//! with the same minimal HTTP client the load generator uses, or with a
+//! raw kept connection, and shuts it down through `POST /shutdown` — the
+//! same `ShutdownHandle` SIGTERM trips. One test sends SIGTERM to the
+//! binary itself.
 
 use nvp_serve::bench::{http_request, shutdown_local_server, spawn_local_server, Exchange};
 use nvp_serve::server::ServerConfig;
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn small_server() -> (SocketAddr, thread::JoinHandle<()>) {
     spawn_local_server(ServerConfig {
@@ -303,4 +304,296 @@ fn traced_run_embeds_the_event_stream_and_keys_separately() {
     assert!(text.len() > plain.body.len(), "traced body embeds events");
 
     shutdown_local_server(addr, handle);
+}
+
+/// A raw connection the test keeps open across requests. Reads time out,
+/// so a server that wrongly holds the connection fails the test instead
+/// of hanging it.
+fn open(addr: SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    BufReader::new(stream)
+}
+
+fn send(conn: &mut BufReader<TcpStream>, raw: &str) {
+    conn.get_mut().write_all(raw.as_bytes()).unwrap();
+}
+
+fn post(path: &str, body: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+fn get(path: &str) -> String {
+    format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n")
+}
+
+/// Reads one response framed by its `Content-Length`: status, head, body.
+fn read_response(conn: &mut BufReader<TcpStream>) -> (u16, String, Vec<u8>) {
+    let mut head = String::new();
+    loop {
+        let mut line = String::new();
+        assert!(conn.read_line(&mut line).unwrap() > 0, "EOF in a head");
+        if line == "\r\n" {
+            break;
+        }
+        head.push_str(&line);
+    }
+    let status = head.split(' ').nth(1).unwrap().parse().unwrap();
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("every response carries Content-Length")
+        .parse()
+        .unwrap();
+    let mut body = vec![0; length];
+    conn.read_exact(&mut body).unwrap();
+    (status, head, body)
+}
+
+/// Reads until the server closes the connection.
+fn read_to_eof(conn: &mut BufReader<TcpStream>) -> Vec<u8> {
+    let mut rest = Vec::new();
+    conn.read_to_end(&mut rest).unwrap();
+    rest
+}
+
+#[test]
+fn one_socket_serves_many_requests_and_hits_match_the_miss() {
+    let (addr, handle) = small_server();
+    let mut conn = open(addr);
+
+    send(&mut conn, &post("/v1/run", FAST_RUN));
+    let (status, head, miss) = read_response(&mut conn);
+    assert_eq!(status, 200);
+    assert!(head.contains("X-Cache: miss"), "{head}");
+    assert!(
+        !head.contains("Connection:"),
+        "kept responses say nothing: {head}"
+    );
+    for _ in 0..3 {
+        send(&mut conn, &post("/v1/run", FAST_RUN));
+        let (status, head, hit) = read_response(&mut conn);
+        assert_eq!(status, 200);
+        assert!(head.contains("X-Cache: hit"), "{head}");
+        assert_eq!(hit, miss, "cached body must be byte-identical");
+    }
+
+    // Everything so far, this scrape included, came over one connection.
+    send(&mut conn, &get("/metrics"));
+    let (_, _, metrics) = read_response(&mut conn);
+    let text = String::from_utf8(metrics).unwrap();
+    for line in [
+        "nvp_connections_accepted_total 1\n",
+        "nvp_connections_open 1\n",
+        "nvp_requests_total 5\n",
+    ] {
+        assert!(text.contains(line), "{line} missing from\n{text}");
+    }
+
+    drop(conn);
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (addr, handle) = small_server();
+    let mut conn = open(addr);
+
+    // Two requests in one write.
+    send(
+        &mut conn,
+        &format!("{}{}", get("/healthz"), get("/v1/kernels")),
+    );
+    let (status, _, ok) = read_response(&mut conn);
+    assert_eq!((status, ok.as_slice()), (200, &b"ok\n"[..]));
+    let (status, _, kernels) = read_response(&mut conn);
+    assert_eq!(status, 200);
+    assert!(String::from_utf8(kernels).unwrap().contains("\"sobel\""));
+
+    // A request right behind a body.
+    send(
+        &mut conn,
+        &format!("{}{}", post("/v1/run", FAST_RUN), get("/healthz")),
+    );
+    assert_eq!(read_response(&mut conn).0, 200);
+    let (status, _, ok) = read_response(&mut conn);
+    assert_eq!((status, ok.as_slice()), (200, &b"ok\n"[..]));
+
+    // A 400 answers, then closes, even with a request queued behind it.
+    send(
+        &mut conn,
+        &format!("{}{}", post("/v1/run", "{not json"), get("/healthz")),
+    );
+    let (status, head, _) = read_response(&mut conn);
+    assert_eq!(status, 400);
+    assert!(head.contains("Connection: close"), "{head}");
+    conn.get_mut().shutdown(Shutdown::Write).unwrap();
+    assert!(read_to_eof(&mut conn).is_empty());
+
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn close_requests_get_one_response_then_eof() {
+    let (addr, handle) = small_server();
+    for raw in [
+        "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        "GET /healthz HTTP/1.0\r\n\r\n",
+    ] {
+        let mut conn = open(addr);
+        send(&mut conn, raw);
+        let (status, head, body) = read_response(&mut conn);
+        assert_eq!((status, body.as_slice()), (200, &b"ok\n"[..]), "{raw}");
+        assert!(head.contains("Connection: close"), "{head}");
+        assert!(read_to_eof(&mut conn).is_empty(), "{raw}");
+    }
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn idle_kept_connection_is_closed_without_a_response() {
+    let (addr, handle) = small_server();
+    let mut conn = open(addr);
+    send(&mut conn, &get("/healthz"));
+    assert_eq!(read_response(&mut conn).0, 200);
+    let idle = Instant::now();
+    assert!(
+        read_to_eof(&mut conn).is_empty(),
+        "no 408 on an idle connection"
+    );
+    let waited = idle.elapsed();
+    assert!(
+        waited >= Duration::from_millis(250) && waited < Duration::from_secs(3),
+        "closed after {waited:?}, read deadline 300ms"
+    );
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn errors_and_ambiguous_framing_close_the_connection() {
+    let (addr, handle) = small_server();
+    let cases = [
+        (post("/v1/run", "{not json"), 400, "body"),
+        ("NONSENSE\r\n\r\n".to_string(), 400, "request target"),
+        (
+            "POST /v1/run HTTP/1.1\r\nContent-Length: 99999\r\n\r\n".to_string(),
+            413,
+            "size limit",
+        ),
+        (
+            "POST /v1/run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n".to_string(),
+            400,
+            "Transfer-Encoding",
+        ),
+        (
+            "POST /v1/run HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc"
+                .to_string(),
+            400,
+            "conflicting Content-Length",
+        ),
+        // Never delivers the declared body: 408 once the deadline passes.
+        (
+            "POST /v1/run HTTP/1.1\r\nContent-Length: 50\r\n\r\n".to_string(),
+            408,
+            "deadline",
+        ),
+    ];
+    for (raw, want, detail) in cases {
+        // Each error follows a kept exchange, so closing is the error's doing.
+        let mut conn = open(addr);
+        send(&mut conn, &get("/healthz"));
+        assert_eq!(read_response(&mut conn).0, 200);
+        send(&mut conn, &raw);
+        if want != 408 {
+            conn.get_mut().shutdown(Shutdown::Write).unwrap();
+        }
+        let (status, head, body) = read_response(&mut conn);
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(status, want, "{raw}: {body}");
+        assert!(body.contains(detail), "{raw}: {body}");
+        assert!(head.contains("Connection: close"), "{head}");
+        assert!(read_to_eof(&mut conn).is_empty(), "{raw}");
+    }
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn shutdown_does_not_wait_out_idle_kept_connections() {
+    let deadline = Duration::from_secs(5);
+    let (addr, handle) = spawn_local_server(ServerConfig {
+        read_deadline: deadline,
+        ..ServerConfig::default()
+    });
+    let mut idle = open(addr);
+    send(&mut idle, &get("/healthz"));
+    assert_eq!(read_response(&mut idle).0, 200);
+
+    let started = Instant::now();
+    let ack = http_request(addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(ack.status, 200);
+    handle.join().unwrap();
+    let drained = started.elapsed();
+    assert!(
+        drained < deadline / 5,
+        "run() took {drained:?} with an idle client, read deadline {deadline:?}"
+    );
+    assert!(read_to_eof(&mut idle).is_empty());
+}
+
+/// The binary bridges SIGTERM to the same drain, with an idle kept
+/// connection open.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_the_binary() {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nvp-serve"))
+        .args(["serve", "--port", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr: SocketAddr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .parse()
+        .unwrap();
+    let mut idle = open(addr);
+    send(&mut idle, &get("/healthz"));
+    assert_eq!(read_response(&mut idle).0, 200);
+
+    let killed = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(killed.success());
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "no exit within 5s of SIGTERM"
+        );
+        thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(status.success(), "{status:?}: {stderr}");
+    assert!(stderr.contains("drained, exiting"), "{stderr}");
 }
