@@ -14,7 +14,7 @@
 
 use crate::cell::CellOutcome;
 use crate::reservoir::{TopK, WeightedReservoir};
-use crate::sample::CellKey;
+use crate::sample::CellTable;
 use crate::spec::{ScenarioSpec, MAX_CELLS};
 use nvp_trace::{Histogram, MergeError, TraceSummary};
 use std::collections::BTreeMap;
@@ -104,20 +104,27 @@ impl FleetAggregate {
         (self.next_chunk * self.spec.chunk).min(self.spec.devices)
     }
 
-    /// Folds one chunk's multiset of cells (canonical order) with their
-    /// outcomes. Advances `next_chunk`.
+    /// Folds one chunk, given as device counts per [`CellTable`] rank with
+    /// the outcome of every present cell (`counts[rank] > 0`), in rank
+    /// order — which is canonical cell order. Advances `next_chunk`.
     pub fn fold_chunk(
         &mut self,
-        chunk_cells: &BTreeMap<String, (CellKey, u64)>,
-        outcomes: &BTreeMap<String, Arc<CellOutcome>>,
+        table: &CellTable,
+        counts: &[u64],
+        outcomes: &[Option<Arc<CellOutcome>>],
     ) -> Result<(), MergeError> {
-        for (canon, (key, count)) in chunk_cells {
-            let out = &outcomes[canon];
-            let n = *count;
-            let cohort = self
-                .cohorts
-                .entry(key.cohort())
-                .or_insert_with(CohortAgg::new);
+        for ((cell, &n), out) in table.cells().iter().zip(counts).zip(outcomes) {
+            if n == 0 {
+                continue;
+            }
+            let out = out.as_deref().expect("every present cell has an outcome");
+            let cohort = match self.cohorts.get_mut(&cell.cohort) {
+                Some(cohort) => cohort,
+                None => self
+                    .cohorts
+                    .entry(cell.cohort.clone())
+                    .or_insert_with(CohortAgg::new),
+            };
             cohort.devices += n;
             cohort.forward_progress.record_n(out.forward_progress, n);
             cohort
@@ -125,13 +132,19 @@ impl FleetAggregate {
                 .record_n(out.backup_nj.max(0.0).round() as u64, n);
             cohort.mse_milli.record_n(out.mse_milli, n);
             cohort.summary.merge_weighted(&out.summary, n)?;
-            let stat = self.cells.entry(canon.clone()).or_insert_with(|| CellStat {
-                devices: 0,
-                forward_progress: out.forward_progress,
-                backup_nj: out.backup_nj,
-                mse_milli: out.mse_milli,
-                frames_committed: out.frames_committed,
-            });
+            let stat = match self.cells.get_mut(&cell.canonical) {
+                Some(stat) => stat,
+                None => self
+                    .cells
+                    .entry(cell.canonical.clone())
+                    .or_insert_with(|| CellStat {
+                        devices: 0,
+                        forward_progress: out.forward_progress,
+                        backup_nj: out.backup_nj,
+                        mse_milli: out.mse_milli,
+                        frames_committed: out.frames_committed,
+                    }),
+            };
             stat.devices += n;
             self.cell_evaluations += 1;
             debug_assert!(self.cells.len() as u64 <= MAX_CELLS);
@@ -301,7 +314,6 @@ fn fmt_f64(v: f64) -> String {
 mod tests {
     use super::*;
     use crate::cell::evaluate_cell;
-    use crate::sample::cell_for_device;
     use crate::spec::ScenarioSpec;
 
     fn tiny_spec() -> ScenarioSpec {
@@ -318,33 +330,32 @@ mod tests {
         .unwrap()
     }
 
-    type ChunkMaps = (
-        BTreeMap<String, (CellKey, u64)>,
-        BTreeMap<String, Arc<CellOutcome>>,
-    );
+    type Chunk = (Vec<u64>, Vec<Option<Arc<CellOutcome>>>);
 
-    fn chunk_maps(spec: &ScenarioSpec, chunk: u64) -> ChunkMaps {
+    fn chunk_counts(table: &CellTable, spec: &ScenarioSpec, chunk: u64) -> Chunk {
         let lo = chunk * spec.chunk;
         let hi = (lo + spec.chunk).min(spec.devices);
-        let mut cells: BTreeMap<String, (CellKey, u64)> = BTreeMap::new();
+        let mut counts = vec![0u64; table.len()];
         for d in lo..hi {
-            let key = cell_for_device(spec, d);
-            cells.entry(key.canonical()).or_insert((key, 0)).1 += 1;
+            counts[table.rank_for_device(d)] += 1;
         }
-        let outcomes = cells
+        let outcomes = table
+            .cells()
             .iter()
-            .map(|(c, (k, _))| (c.clone(), evaluate_cell(k)))
+            .zip(&counts)
+            .map(|(cell, &n)| (n > 0).then(|| evaluate_cell(&cell.key)))
             .collect();
-        (cells, outcomes)
+        (counts, outcomes)
     }
 
     #[test]
     fn fold_accounts_every_device_once() {
         let spec = tiny_spec();
+        let table = CellTable::new(&spec);
         let mut agg = FleetAggregate::new(spec.clone());
         for ci in 0..spec.chunks() {
-            let (cells, outcomes) = chunk_maps(&spec, ci);
-            agg.fold_chunk(&cells, &outcomes).unwrap();
+            let (counts, outcomes) = chunk_counts(&table, &spec, ci);
+            agg.fold_chunk(&table, &counts, &outcomes).unwrap();
         }
         assert!(agg.is_complete());
         assert_eq!(agg.devices_done(), spec.devices);
@@ -364,10 +375,11 @@ mod tests {
         let spec = tiny_spec();
         let mut a = FleetAggregate::new(spec.clone());
         let mut b = FleetAggregate::new(spec.clone());
+        let table = CellTable::new(&spec);
         for ci in 0..spec.chunks() {
-            let (cells, outcomes) = chunk_maps(&spec, ci);
-            a.fold_chunk(&cells, &outcomes).unwrap();
-            b.fold_chunk(&cells, &outcomes).unwrap();
+            let (counts, outcomes) = chunk_counts(&table, &spec, ci);
+            a.fold_chunk(&table, &counts, &outcomes).unwrap();
+            b.fold_chunk(&table, &counts, &outcomes).unwrap();
         }
         let (ra, rb) = (a.render_report(), b.render_report());
         assert_eq!(ra, rb);

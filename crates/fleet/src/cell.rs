@@ -79,16 +79,29 @@ fn lock() -> std::sync::MutexGuard<'static, HashMap<String, Arc<CellOutcome>>> {
 
 /// Evaluates one cell, sharing any previously-computed outcome.
 pub fn evaluate_cell(key: &CellKey) -> Arc<CellOutcome> {
-    let canon = key.canonical();
-    if let Some(hit) = lock().get(&canon).cloned() {
+    evaluate(key, &key.canonical())
+}
+
+/// The cached outcome of the cell whose canonical string is `canon`, if
+/// any; a hit counts as shared.
+pub(crate) fn cached(canon: &str) -> Option<Arc<CellOutcome>> {
+    let hit = lock().get(canon).cloned();
+    if hit.is_some() {
         SHARED.fetch_add(1, Ordering::Relaxed);
+    }
+    hit
+}
+
+/// [`evaluate_cell`] for a key whose canonical string is already known.
+pub(crate) fn evaluate(key: &CellKey, canon: &str) -> Arc<CellOutcome> {
+    if let Some(hit) = cached(canon) {
         return hit;
     }
     // Miss: simulate outside the lock so concurrent workers on *different*
     // cells proceed in parallel. Two workers racing the *same* cell both
     // simulate (identical, deterministic results); the first insert wins.
     let outcome = Arc::new(simulate(key));
-    match lock().entry(canon) {
+    match lock().entry(canon.to_string()) {
         Entry::Occupied(e) => {
             SHARED.fetch_add(1, Ordering::Relaxed);
             e.get().clone()

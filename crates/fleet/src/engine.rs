@@ -1,19 +1,21 @@
 //! The chunked streaming run loop.
 //!
-//! Devices are visited in index order, `spec.chunk` at a time. Each chunk
-//! is reduced to its distinct-cell multiset, the uncached cells are
+//! A [`CellTable`] ranks the spec's cells once per call. Devices are then
+//! visited in index order, `spec.chunk` at a time, and each chunk reduces
+//! to a vector of device counts indexed by rank. Cells the process-wide
+//! cache already holds are looked up serially; only the misses are
 //! evaluated on the `nvp-exec` work-stealing pool (parallelism affects
-//! wall-clock only — the fold order is the canonical cell order, fixed by
-//! the spec), and the chunk is folded into the aggregate. The loop can
-//! pause after any chunk boundary, which is exactly the granularity the
-//! snapshot format persists.
+//! wall-clock only — the fold order is rank order, which is the canonical
+//! cell order, fixed by the spec). The chunk is then folded into the
+//! aggregate. The loop can pause after any chunk boundary, which is
+//! exactly the granularity the snapshot format persists.
 
 use crate::agg::FleetAggregate;
-use crate::cell::evaluate_cell;
-use crate::sample::{cell_for_device, CellKey};
+use crate::cell::{cached, evaluate, CellOutcome};
+use crate::sample::CellTable;
 use nvp_exec::Pool;
 use nvp_trace::MergeError;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Progress of a running fleet, reported after every folded chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +68,8 @@ pub fn run_chunks(
     mut progress: impl FnMut(Progress),
 ) -> Result<RunStatus, MergeError> {
     let pool = Pool::new(opts.jobs);
+    let table = CellTable::new(&agg.spec);
+    let mut counts = vec![0u64; table.len()];
     let chunks = agg.spec.chunks();
     let mut folded_this_call = 0u64;
     while agg.next_chunk < chunks {
@@ -74,26 +78,14 @@ pub fn run_chunks(
                 return Ok(RunStatus::Paused);
             }
         }
-        let ci = agg.next_chunk;
-        let lo = ci * agg.spec.chunk;
+        let lo = agg.next_chunk * agg.spec.chunk;
         let hi = (lo + agg.spec.chunk).min(agg.spec.devices);
-        // The chunk as a multiset of cells, in canonical order.
-        let mut chunk_cells: BTreeMap<String, (CellKey, u64)> = BTreeMap::new();
+        counts.fill(0);
         for d in lo..hi {
-            let key = cell_for_device(&agg.spec, d);
-            chunk_cells.entry(key.canonical()).or_insert((key, 0)).1 += 1;
+            counts[table.rank_for_device(d)] += 1;
         }
-        // Evaluate distinct cells on the pool; the process-wide cache
-        // makes repeats (across chunks and across fleets) nearly free.
-        let keys: Vec<(String, CellKey)> = chunk_cells
-            .iter()
-            .map(|(c, (k, _))| (c.clone(), *k))
-            .collect();
-        let outcomes = pool
-            .map(keys, |(canon, key)| (canon, evaluate_cell(&key)))
-            .into_iter()
-            .collect::<BTreeMap<_, _>>();
-        agg.fold_chunk(&chunk_cells, &outcomes)?;
+        let outcomes = resolve(&pool, &table, &counts);
+        agg.fold_chunk(&table, &counts, &outcomes)?;
         folded_this_call += 1;
         progress(Progress {
             chunks_done: agg.next_chunk,
@@ -103,6 +95,32 @@ pub fn run_chunks(
         });
     }
     Ok(RunStatus::Complete)
+}
+
+/// The outcome of every cell present in a chunk (`counts[rank] > 0`),
+/// indexed by rank. Each present cell is one evaluation: a cache hit is
+/// answered serially on this thread, and only the misses go to the pool
+/// (the process-wide cache makes repeats across chunks and fleets free).
+fn resolve(pool: &Pool, table: &CellTable, counts: &[u64]) -> Vec<Option<Arc<CellOutcome>>> {
+    let mut outcomes = vec![None; table.len()];
+    let mut misses = Vec::new();
+    for (rank, cell) in table.cells().iter().enumerate() {
+        if counts[rank] == 0 {
+            continue;
+        }
+        match cached(&cell.canonical) {
+            Some(hit) => outcomes[rank] = Some(hit),
+            None => misses.push(rank),
+        }
+    }
+    let computed = pool.map(misses, |rank| {
+        let cell = &table.cells()[rank];
+        (rank, evaluate(&cell.key, &cell.canonical))
+    });
+    for (rank, outcome) in computed {
+        outcomes[rank] = Some(outcome);
+    }
+    outcomes
 }
 
 #[cfg(test)]

@@ -39,6 +39,6 @@ pub use agg::FleetAggregate;
 pub use cell::{cells_computed, cells_shared, evaluate_cell, CellOutcome};
 pub use engine::{run_chunks, Progress, RunOptions, RunStatus};
 pub use reservoir::{TopK, WeightedReservoir};
-pub use sample::{cell_for_device, splitmix64, CellKey};
+pub use sample::{cell_for_device, splitmix64, CellKey, CellTable, TableCell};
 pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotError};
 pub use spec::{engine_tag, scope_tag, FleetMode, ScenarioSpec, SpecError, Weighted, MAX_CELLS};

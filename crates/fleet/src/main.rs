@@ -12,12 +12,15 @@
 //! writing the resumable state to `--snapshot`). `resume` continues from a
 //! snapshot and is guaranteed to produce the byte-identical report the
 //! uninterrupted run would have. `report` re-renders a finished
-//! snapshot without simulating anything. `bench` measures devices/sec on
-//! a fixed reference scenario for BENCH_fleet.json.
+//! snapshot without simulating anything. `bench` times a fixed reference
+//! scenario for BENCH_fleet.json: per device count, a cold row (a spec
+//! seed no earlier row used, so every cell simulates; cells/sec) and a
+//! warm replay of the same spec (only sampling and folding; devices/sec,
+//! with zero cells computed).
 
 use nvp_fleet::{
-    decode_snapshot, encode_snapshot, run_chunks, FleetAggregate, Progress, RunOptions, RunStatus,
-    ScenarioSpec,
+    cells_computed, cells_shared, decode_snapshot, encode_snapshot, run_chunks, FleetAggregate,
+    Progress, RunOptions, RunStatus, ScenarioSpec,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -193,12 +196,14 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 
 /// The fixed reference scenario `bench` scales over device counts: a
 /// 16-cell population exercising two kernels, two modes, two profile
-/// family members and both backup-scope extremes.
-fn bench_spec(devices: u64) -> ScenarioSpec {
+/// family members and both backup-scope extremes. The seed is part of
+/// every cell key, so a fresh seed means a cold cell cache.
+fn bench_spec(devices: u64, seed: u64) -> ScenarioSpec {
     ScenarioSpec::parse(&format!(
         "fleet-spec-v1\n\
          devices = {devices}\n\
          chunk = 4096\n\
+         seed = {seed}\n\
          ms = 200\n\
          img = 8\n\
          frames = 1\n\
@@ -208,6 +213,30 @@ fn bench_spec(devices: u64) -> ScenarioSpec {
          modes = precise, fixed:4\n",
     ))
     .expect("bench spec is statically valid")
+}
+
+/// One timed fleet run: (seconds, cells computed, cells shared, distinct
+/// cells folded).
+fn timed_run(spec: &ScenarioSpec, jobs: usize) -> Result<(f64, u64, u64, usize), String> {
+    let (computed, shared) = (cells_computed(), cells_shared());
+    let mut agg = FleetAggregate::new(spec.clone());
+    let start = Instant::now();
+    run_chunks(
+        &mut agg,
+        RunOptions {
+            jobs,
+            stop_after_chunks: None,
+        },
+        |_| {},
+    )
+    .map_err(|e| e.to_string())?;
+    let secs = start.elapsed().as_secs_f64().max(1e-9);
+    Ok((
+        secs,
+        cells_computed() - computed,
+        cells_shared() - shared,
+        agg.cells.len(),
+    ))
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
@@ -223,31 +252,27 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             .collect::<Result<_, _>>()?,
     };
     let jobs = parse_jobs(args)?;
-    let mut results = Vec::new();
-    for &n in &devices {
-        let mut agg = FleetAggregate::new(bench_spec(n));
-        let start = Instant::now();
-        run_chunks(
-            &mut agg,
-            RunOptions {
-                jobs,
-                stop_after_chunks: None,
-            },
-            |_| {},
-        )
-        .map_err(|e| e.to_string())?;
-        let secs = start.elapsed().as_secs_f64();
-        results.push(format!(
-            "{{\"devices\": {n}, \"seconds\": {secs:.3}, \"devices_per_sec\": {:.0}, \"distinct_cells\": {}}}",
-            n as f64 / secs.max(1e-9),
-            agg.cells.len()
+    let (mut cold, mut warm) = (Vec::new(), Vec::new());
+    for (row, &n) in (1u64..).zip(&devices) {
+        let spec = bench_spec(n, row);
+        let (secs, computed, shared, cells) = timed_run(&spec, jobs)?;
+        cold.push(format!(
+            "{{\"devices\": {n}, \"seed\": {row}, \"seconds\": {secs:.4}, \"distinct_cells\": {cells}, \"cells_computed\": {computed}, \"cells_shared\": {shared}, \"cells_per_sec\": {:.1}}}",
+            computed as f64 / secs
         ));
-        eprintln!("{n} devices in {secs:.3}s");
+        eprintln!("cold: {n} devices, {computed} cells computed in {secs:.3}s");
+        let (secs, computed, shared, _) = timed_run(&spec, jobs)?;
+        warm.push(format!(
+            "{{\"devices\": {n}, \"seed\": {row}, \"seconds\": {secs:.4}, \"cells_computed\": {computed}, \"cells_shared\": {shared}, \"devices_per_sec\": {:.0}}}",
+            n as f64 / secs
+        ));
+        eprintln!("warm: {n} devices folded in {secs:.4}s, {computed} cells computed");
     }
     println!(
-        "{{\"bench\": \"fleet-v1\", \"host_cpus\": {}, \"jobs\": {jobs}, \"results\": [{}]}}",
+        "{{\"bench\": \"fleet-v2\", \"host_cpus\": {}, \"jobs\": {jobs}, \"cold\": [{}], \"warm\": [{}]}}",
         nvp_exec::available_parallelism(),
-        results.join(", ")
+        cold.join(", "),
+        warm.join(", ")
     );
     Ok(())
 }

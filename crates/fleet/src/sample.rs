@@ -7,6 +7,11 @@
 //! job count and visit order. Weighted choice is draw-mod-total-weight
 //! (the tiny modulo bias is irrelevant for population simulation and
 //! buys exact cross-platform determinism).
+//!
+//! The run loop does not build a [`CellKey`] per device: a [`CellTable`]
+//! ranks the spec's distinct cells once, in canonical-string order, and
+//! maps each device straight to its rank through the same draw routine
+//! [`cell_for_device`] uses.
 
 use crate::spec::{engine_tag, scope_tag, FleetMode, ScenarioSpec, Weighted};
 use nvp_kernels::KernelId;
@@ -94,43 +99,238 @@ enum Axis {
     Engine,
 }
 
-/// One axis draw for one device: an independent 64-bit stream value.
-fn draw(spec_seed: u64, device: u64, axis: Axis) -> u64 {
-    splitmix64(
-        spec_seed
-            ^ splitmix64(device.wrapping_add(0x5851_F42D_4C95_7F2D))
-            ^ (axis as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-    )
+/// The weighted axes in [`Draws::entries`] order.
+const WEIGHTED: [Axis; 6] = [
+    Axis::Kernel,
+    Axis::Profile,
+    Axis::Cap,
+    Axis::Scope,
+    Axis::Mode,
+    Axis::Engine,
+];
+
+/// Where one device's draws land: the chosen entry index on every
+/// weighted axis (in [`WEIGHTED`] order) and its family member.
+#[derive(Debug)]
+struct Draws {
+    entries: [usize; 6],
+    member: u32,
 }
 
-/// Weighted choice over an axis distribution.
-fn pick<T: Copy>(entries: &[Weighted<T>], r: u64) -> T {
-    let total: u64 = entries.iter().map(|w| w.weight).sum();
-    let mut rem = r % total;
-    for w in entries {
-        if rem < w.weight {
-            return w.item;
+/// A spec's axis weights flattened for drawing, with each axis' total
+/// weight computed once instead of per device.
+#[derive(Debug, Clone)]
+struct Sampler {
+    seed: u64,
+    members: u64,
+    weights: [Vec<u64>; 6],
+    totals: [u64; 6],
+}
+
+impl Sampler {
+    fn new(spec: &ScenarioSpec) -> Self {
+        fn weights<T>(entries: &[Weighted<T>]) -> Vec<u64> {
+            entries.iter().map(|w| w.weight).collect()
         }
-        rem -= w.weight;
+        let weights = [
+            weights(&spec.kernels),
+            weights(&spec.profiles),
+            weights(&spec.caps_nj),
+            weights(&spec.scopes),
+            weights(&spec.modes),
+            weights(&spec.engines),
+        ];
+        let totals = std::array::from_fn(|a| weights[a].iter().sum());
+        Sampler {
+            seed: spec.seed,
+            members: spec.members as u64,
+            weights,
+            totals,
+        }
     }
-    entries.last().expect("axes are validated non-empty").item
+
+    /// The one draw routine: every axis draw of device `device` is an
+    /// independent stream value
+    /// `splitmix64(seed ^ splitmix64(device + C1) ^ axis·C2)`, and the
+    /// per-device term is computed once for all seven axes.
+    fn draws(&self, device: u64) -> Draws {
+        let dev = splitmix64(device.wrapping_add(0x5851_F42D_4C95_7F2D));
+        let draw = |axis: Axis| {
+            splitmix64(self.seed ^ dev ^ (axis as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
+        };
+        Draws {
+            entries: std::array::from_fn(|a| {
+                pick(&self.weights[a], self.totals[a], draw(WEIGHTED[a]))
+            }),
+            member: (draw(Axis::Member) % self.members) as u32,
+        }
+    }
+}
+
+/// Weighted choice over an axis distribution: the index of the entry
+/// `r` lands on, given the axis' `total` weight.
+fn pick(weights: &[u64], total: u64, r: u64) -> usize {
+    let mut rem = r % total;
+    for (i, &w) in weights.iter().enumerate() {
+        if rem < w {
+            return i;
+        }
+        rem -= w;
+    }
+    weights.len() - 1
+}
+
+/// The cell a set of draws selects.
+fn key_of(spec: &ScenarioSpec, d: &Draws) -> CellKey {
+    let [kernel, profile, cap, scope, mode, engine] = d.entries;
+    CellKey {
+        kernel: spec.kernels[kernel].item,
+        img: spec.img,
+        frames: spec.frames,
+        trace_ms: spec.trace_ms,
+        profile: spec.profiles[profile].item,
+        member: d.member,
+        cap_nj: spec.caps_nj[cap].item,
+        scope: spec.scopes[scope].item,
+        mode: spec.modes[mode].item,
+        engine: spec.engines[engine].item,
+        seed: spec.seed,
+    }
 }
 
 /// Expands population member `device` (0-based) of `spec` into its cell.
 pub fn cell_for_device(spec: &ScenarioSpec, device: u64) -> CellKey {
-    let s = spec.seed;
-    CellKey {
-        kernel: pick(&spec.kernels, draw(s, device, Axis::Kernel)),
-        img: spec.img,
-        frames: spec.frames,
-        trace_ms: spec.trace_ms,
-        profile: pick(&spec.profiles, draw(s, device, Axis::Profile)),
-        member: (draw(s, device, Axis::Member) % spec.members as u64) as u32,
-        cap_nj: pick(&spec.caps_nj, draw(s, device, Axis::Cap)),
-        scope: pick(&spec.scopes, draw(s, device, Axis::Scope)),
-        mode: pick(&spec.modes, draw(s, device, Axis::Mode)),
-        engine: pick(&spec.engines, draw(s, device, Axis::Engine)),
-        seed: spec.seed,
+    key_of(spec, &Sampler::new(spec).draws(device))
+}
+
+/// One cell of a [`CellTable`]: its key with the strings the fold and the
+/// report need, rendered once per table instead of once per device.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TableCell {
+    /// The cell.
+    pub key: CellKey,
+    /// `key.canonical()`.
+    pub canonical: String,
+    /// `key.cohort()`.
+    pub cohort: String,
+}
+
+/// Every cell a spec can expand to, densely ranked in canonical-string
+/// order, with a direct device → rank mapping.
+///
+/// The table enumerates the axis cross-product once (at most
+/// [`MAX_CELLS`](crate::spec::MAX_CELLS) cells). Duplicate axis items —
+/// `caps_nj = 2500, 2500` — collapse onto one distinct value, so every
+/// axis entry that names the same item shares one rank, exactly as the
+/// devices drawing them share one canonical string.
+#[derive(Debug, Clone)]
+pub struct CellTable {
+    sampler: Sampler,
+    /// Per weighted axis, entry index → that entry's distinct-item digit
+    /// already multiplied by the axis' stride in the cross-product index.
+    offsets: [Vec<usize>; 6],
+    /// Cross-product index → rank.
+    rank_of: Vec<u32>,
+    /// Cells in rank (= canonical-string) order.
+    cells: Vec<TableCell>,
+}
+
+/// An axis' distinct items, each as the index of the first entry naming
+/// it, and the distinct-item slot of every entry.
+fn distinct<T: PartialEq>(entries: &[Weighted<T>]) -> (Vec<usize>, Vec<usize>) {
+    let mut firsts: Vec<usize> = Vec::new();
+    let slots = entries
+        .iter()
+        .enumerate()
+        .map(
+            |(i, w)| match firsts.iter().position(|&f| entries[f].item == w.item) {
+                Some(slot) => slot,
+                None => {
+                    firsts.push(i);
+                    firsts.len() - 1
+                }
+            },
+        )
+        .collect();
+    (firsts, slots)
+}
+
+impl CellTable {
+    /// Builds the table for `spec`.
+    pub fn new(spec: &ScenarioSpec) -> Self {
+        let axes = [
+            distinct(&spec.kernels),
+            distinct(&spec.profiles),
+            distinct(&spec.caps_nj),
+            distinct(&spec.scopes),
+            distinct(&spec.modes),
+            distinct(&spec.engines),
+        ];
+        // Mixed-radix cross-product index over the distinct items, axes in
+        // `Draws::entries` order, then the member digit (stride 1).
+        let members = spec.members as usize;
+        let mut strides = [0usize; 6];
+        let mut size = members;
+        for a in (0..6).rev() {
+            strides[a] = size;
+            size *= axes[a].0.len();
+        }
+        let offsets = std::array::from_fn(|a| axes[a].1.iter().map(|s| s * strides[a]).collect());
+
+        let mut cells: Vec<(usize, TableCell)> = (0..size)
+            .map(|index| {
+                let draws = Draws {
+                    entries: std::array::from_fn(|a| {
+                        let (firsts, _) = &axes[a];
+                        firsts[index / strides[a] % firsts.len()]
+                    }),
+                    member: (index % members) as u32,
+                };
+                let key = key_of(spec, &draws);
+                let cell = TableCell {
+                    canonical: key.canonical(),
+                    cohort: key.cohort(),
+                    key,
+                };
+                (index, cell)
+            })
+            .collect();
+        cells.sort_unstable_by(|a, b| a.1.canonical.cmp(&b.1.canonical));
+        let mut rank_of = vec![0u32; size];
+        for (rank, (index, _)) in cells.iter().enumerate() {
+            rank_of[*index] = rank as u32;
+        }
+        CellTable {
+            sampler: Sampler::new(spec),
+            offsets,
+            rank_of,
+            cells: cells.into_iter().map(|(_, cell)| cell).collect(),
+        }
+    }
+
+    /// Number of distinct cells.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Whether the table has no cells (never true for a valid spec).
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Every cell, in rank (= canonical-string) order.
+    pub fn cells(&self) -> &[TableCell] {
+        &self.cells
+    }
+
+    /// The rank of the cell device `device` expands to: the same draws as
+    /// [`cell_for_device`], mapped through the cross-product index.
+    pub fn rank_for_device(&self, device: u64) -> usize {
+        let d = self.sampler.draws(device);
+        let index = (0..6).fold(d.member as usize, |acc, a| {
+            acc + self.offsets[a][d.entries[a]]
+        });
+        self.rank_of[index] as usize
     }
 }
 

@@ -3,12 +3,15 @@
 //! Format (`nvp-fleet-snap-v1`): a header with the fold cursor, the
 //! embedded canonical spec (so a snapshot is self-describing and its job
 //! id can be re-derived and verified), one block per cohort and one per
-//! cell. Every f64 is serialized as the hex of its IEEE-754 bit pattern —
-//! resume must restore *bit-identical* state or the byte-identity of the
-//! final report across `resume` would be a lie.
+//! cell, then a trailing `digest = <16 hex>` line: the FNV-1a-64 of every
+//! byte before it. Every f64 is serialized as the hex of its IEEE-754 bit
+//! pattern — resume must restore *bit-identical* state or the
+//! byte-identity of the final report across `resume` would be a lie — and
+//! the digest is what catches a flipped digit in one, or a snapshot cut
+//! short at a block boundary, both of which would otherwise decode.
 
 use crate::agg::{CellStat, CohortAgg, FleetAggregate};
-use crate::spec::ScenarioSpec;
+use crate::spec::{fnv1a64, ScenarioSpec};
 use nvp_trace::{EnergyLedger, EventKind, Histogram, TraceSummary};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -64,7 +67,7 @@ fn encode_hist(h: &Histogram) -> String {
     )
 }
 
-/// Serializes the complete aggregation state.
+/// Serializes the complete aggregation state, sealed by a trailing digest.
 pub fn encode_snapshot(agg: &FleetAggregate) -> String {
     let mut out = String::with_capacity(8192);
     out.push_str("nvp-fleet-snap-v1\n");
@@ -117,17 +120,33 @@ pub fn encode_snapshot(agg: &FleetAggregate) -> String {
         out.push_str(&format!("frames = {}\n", s.frames_committed));
         out.push_str("}\n");
     }
+    let digest = fnv1a64(out.as_bytes());
+    out.push_str(&format!("digest = {digest:016x}\n"));
     out
 }
 
-/// Line cursor over the snapshot document.
+/// Line cursor over the snapshot document that knows where each line
+/// starts, so the digest line can name the bytes it covers.
 struct Lines<'a> {
-    iter: std::iter::Enumerate<std::str::Lines<'a>>,
+    text: &'a str,
+    /// Byte offset of the next line.
+    pos: usize,
+    /// Byte offset of the line last returned.
+    start: usize,
+    /// 1-based number of the line last returned.
+    line: usize,
 }
 
 impl<'a> Lines<'a> {
     fn next(&mut self) -> Option<(usize, &'a str)> {
-        self.iter.next().map(|(i, l)| (i + 1, l))
+        let rest = self.text.get(self.pos..).filter(|r| !r.is_empty())?;
+        let len = rest.find('\n').map_or(rest.len(), |i| i + 1);
+        self.start = self.pos;
+        self.pos += len;
+        self.line += 1;
+        let raw = &rest[..len];
+        let raw = raw.strip_suffix('\n').unwrap_or(raw);
+        Some((self.line, raw.strip_suffix('\r').unwrap_or(raw)))
     }
 }
 
@@ -194,10 +213,30 @@ fn decode_hist(value: &str, line: usize) -> Result<Histogram, SnapshotError> {
     Ok(Histogram::from_parts(unit, bins, count, sum, (min, max)))
 }
 
-/// Restores an aggregate from its snapshot document.
+/// Checks a `digest = <hex>` value against the FNV-1a-64 of `body`, every
+/// byte before the digest line.
+fn check_digest(body: &str, value: &str, line: usize) -> Result<(), SnapshotError> {
+    let stored = u64::from_str_radix(value, 16)
+        .map_err(|_| SnapshotError::new(line, format!("digest '{value}' is not hex")))?;
+    let computed = fnv1a64(body.as_bytes());
+    if stored == computed {
+        Ok(())
+    } else {
+        Err(SnapshotError::new(
+            line,
+            format!("digest {value} does not match the content ({computed:016x}); the snapshot is corrupt"),
+        ))
+    }
+}
+
+/// Restores an aggregate from its snapshot document, refusing it unless
+/// its trailing digest matches.
 pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
     let mut lines = Lines {
-        iter: text.lines().enumerate(),
+        text,
+        pos: 0,
+        start: 0,
+        line: 0,
     };
     match lines.next() {
         Some((_, "nvp-fleet-snap-v1")) => {}
@@ -213,6 +252,7 @@ pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
     let mut spec: Option<ScenarioSpec> = None;
     let mut cohorts: BTreeMap<String, CohortAgg> = BTreeMap::new();
     let mut cells: BTreeMap<String, CellStat> = BTreeMap::new();
+    let mut sealed = false;
 
     while let Some((ln, raw)) = lines.next() {
         let line = raw.trim();
@@ -345,11 +385,24 @@ pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
                 "cell_evaluations" => {
                     cell_evaluations = Some(parse_u64(v, ln, "cell_evaluations")?)
                 }
+                "digest" => {
+                    check_digest(&text[..lines.start], v, ln)?;
+                    if let Some((after, _)) = lines.next() {
+                        return Err(SnapshotError::new(after, "content after the digest line"));
+                    }
+                    sealed = true;
+                }
                 other => return Err(SnapshotError::new(ln, format!("unknown key '{other}'"))),
             }
         }
     }
 
+    if !sealed {
+        return Err(SnapshotError::new(
+            lines.line + 1,
+            "missing trailing 'digest = …' line (truncated snapshot?)",
+        ));
+    }
     let spec = spec.ok_or_else(|| SnapshotError::new(0, "missing spec block"))?;
     Ok(FleetAggregate {
         spec,
@@ -364,8 +417,7 @@ pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::evaluate_cell;
-    use crate::sample::cell_for_device;
+    use crate::engine::{run_chunks, RunOptions, RunStatus};
 
     fn folded_aggregate() -> FleetAggregate {
         let spec = ScenarioSpec::parse(
@@ -378,17 +430,12 @@ mod tests {
              kernels = sobel, median\n",
         )
         .unwrap();
-        let mut agg = FleetAggregate::new(spec.clone());
-        let mut chunk_cells = BTreeMap::new();
-        for d in 0..100u64 {
-            let key = cell_for_device(&spec, d);
-            chunk_cells.entry(key.canonical()).or_insert((key, 0)).1 += 1;
-        }
-        let outcomes = chunk_cells
-            .iter()
-            .map(|(c, (k, _))| (c.clone(), evaluate_cell(k)))
-            .collect();
-        agg.fold_chunk(&chunk_cells, &outcomes).unwrap();
+        let mut agg = FleetAggregate::new(spec);
+        let opts = RunOptions {
+            jobs: 1,
+            stop_after_chunks: Some(1),
+        };
+        assert_eq!(run_chunks(&mut agg, opts, |_| {}), Ok(RunStatus::Paused));
         agg
     }
 
@@ -445,5 +492,38 @@ mod tests {
         let err = decode_snapshot(cut).unwrap_err();
         assert!(err.to_string().contains("unterminated"), "{err}");
         assert!(decode_snapshot("nvp-fleet-snap-v1\n").is_err());
+    }
+
+    #[test]
+    fn flipped_digit_in_an_f64_is_refused_at_the_digest_line() {
+        let good = encode_snapshot(&folded_aggregate());
+        // Flip the last hex digit of the cell's backup-energy bit pattern:
+        // still a well-formed f64, so only the digest can notice.
+        let at = good.find("backup_nj = ").unwrap() + "backup_nj = ".len() + 15;
+        let flipped = if &good[at..=at] == "0" { "1" } else { "0" };
+        let bad = format!("{}{flipped}{}", &good[..at], &good[at + 1..]);
+        let err = decode_snapshot(&bad).unwrap_err();
+        assert!(err.to_string().contains("does not match"), "{err}");
+        assert_eq!(err.line, good.lines().count(), "located at the digest line");
+    }
+
+    #[test]
+    fn snapshot_cut_at_a_block_boundary_is_refused() {
+        let good = encode_snapshot(&folded_aggregate());
+        // Drop the last cell block and the digest: every remaining block
+        // is complete, so without the digest this decoded silently.
+        let cut = &good[..good.rfind("cell ").unwrap()];
+        let err = decode_snapshot(cut).unwrap_err();
+        assert!(
+            err.to_string().contains("missing trailing 'digest"),
+            "{err}"
+        );
+        assert_eq!(err.line, cut.lines().count() + 1);
+        // Dropping only the digest line is refused the same way.
+        let unsealed = &good[..good.rfind("digest = ").unwrap()];
+        assert!(decode_snapshot(unsealed).is_err());
+        // So is anything after it.
+        let err = decode_snapshot(&format!("{good}next_chunk = 1\n")).unwrap_err();
+        assert!(err.to_string().contains("after the digest"), "{err}");
     }
 }
