@@ -74,9 +74,8 @@ fn bench_vm_block_budget(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(2));
     g.warm_up_time(Duration::from_millis(500));
     // Same full-system run, two capacitor-check schedules: `step` pays a
-    // reserve comparison and an energy-formula evaluation (one `powf` per
-    // lane) per instruction; `block` arms whole basic blocks against their
-    // static WCEC certificates (results are identical —
+    // reserve comparison per instruction; `block` arms whole basic blocks
+    // against their static WCEC certificates (results are identical —
     // crates/sim/tests/block_budget.rs). Wall power keeps every tick in
     // the VM hot loop; harvested profiles spend most ticks charging and
     // would bury the difference.
@@ -85,9 +84,8 @@ fn bench_vm_block_budget(c: &mut Criterion) {
     let spec = id.spec(w, h);
     let frames = Arc::new(vec![id.make_input(w, h, 0x51); 2]);
     let profile = PowerProfile::constant(Power::from_uw(500.0), Ticks(20_000));
-    // Precise (8b) and fixed 4-bit datapaths: at full width the energy
-    // formula's `powf` base is 1.0 (a libm fast path), so the narrow
-    // configuration is where the per-instruction evaluation actually costs.
+    // Precise (8b) and fixed 4-bit datapaths: both engines price from one
+    // energy frame per configuration, so the two widths should time alike.
     for (mode_name, mode) in [
         ("precise", ExecMode::Precise),
         ("fixed4", ExecMode::Fixed(ApproxConfig::fixed(4))),

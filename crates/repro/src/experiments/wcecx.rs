@@ -122,11 +122,11 @@ pub fn wcec(scale: Scale) -> Vec<Table> {
 /// `(step_s, block_s, identical)`, each the best of three runs. Feeds the
 /// `block_budget` section of `repro --perf-out` reports.
 ///
-/// Wall power keeps every tick in the VM hot loop, and the 4-bit fixed
-/// datapath keeps the per-instruction energy formula off libm's
-/// `powf(1.0, _)` fast path — the configuration where per-instruction
-/// checks genuinely cost (watch profiles spend most ticks charging and
-/// would bury the difference in harvesting noise).
+/// Wall power keeps every tick in the VM hot loop, where the
+/// per-instruction reserve checks the block engine skips are spent (watch
+/// profiles spend most ticks charging and would bury the difference in
+/// harvesting noise). Both engines price from the same per-configuration
+/// energy frame, so the skipped checks are the whole difference.
 pub fn block_budget_timing(scale: Scale) -> (f64, f64, bool) {
     let (step_s, step_r) = engine_time(scale, ExecEngine::Step);
     let (block_s, block_r) = engine_time(scale, ExecEngine::BlockBudget);

@@ -201,14 +201,13 @@ pub enum ExecEngine {
     /// remaining block suffix* (the per-block leg of the WCEC analysis,
     /// priced with the same per-class energies the simulator charges). If
     /// the whole suffix is affordable, the per-instruction reserve checks
-    /// and energy-formula evaluations inside the block are skipped — each
-    /// would provably pass, since nothing recharges the capacitor or
-    /// resizes the reserve mid-tick. Energy is still drained and accounted
-    /// per instruction, in the same order, so runs are bit-identical to
-    /// [`ExecEngine::Step`]; only the redundant checks go away. Falls back
-    /// to per-instruction checks when the suffix is not affordable, and is
-    /// bypassed entirely in incidental mode (merge probes need
-    /// per-instruction control anyway).
+    /// inside the block are skipped — each would provably pass, since
+    /// nothing recharges the capacitor or resizes the reserve mid-tick.
+    /// Energy is still drained and accounted per instruction, in the same
+    /// order, so runs are bit-identical to [`ExecEngine::Step`]; only the
+    /// redundant checks go away. Falls back to per-instruction checks when
+    /// the suffix is not affordable, and is bypassed entirely in
+    /// incidental mode (merge probes need per-instruction control anyway).
     BlockBudget,
     /// [`ExecEngine::BlockBudget`] arming plus pre-decoded execution:
     /// certificate-proven instructions dispatch through the kernel's
@@ -334,6 +333,17 @@ impl Default for SystemConfig {
     }
 }
 
+/// What the run loop prices with at one approximation configuration: the
+/// results of `instr_energy` per class, `reserve()` and `start_threshold()`
+/// at `cfg`, so a read is bit-identical to the call it replaces.
+#[derive(Debug, Clone, Copy, Default)]
+struct EnergyFrame {
+    cfg: ApproxConfig,
+    class: [Energy; 6],
+    reserve: Energy,
+    start_threshold: Energy,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Off,
@@ -365,9 +375,8 @@ pub struct SystemSim {
     /// length, from this pc through the end of its block. This is the
     /// static certificate [`ExecEngine::BlockBudget`] prices blocks with.
     block_suffix: Vec<([u32; 6], u32)>,
-    /// Per-class instruction energies at the last-seen approximation
-    /// configuration (invalidated whenever the configuration changes).
-    class_cache: Option<(ApproxConfig, [Energy; 6])>,
+    /// Prices at the VM's configuration as of the last `refresh_frame`.
+    frame: EnergyFrame,
     /// Pre-decoded superinstruction table for [`ExecEngine::Compiled`].
     /// Injected via [`SystemSim::set_compiled`] (the repro catalog shares
     /// one per kernel) or compiled lazily at run start.
@@ -462,7 +471,7 @@ impl SystemSim {
                 Some(spec.mem_words),
             ),
         };
-        SystemSim {
+        let mut sim = SystemSim {
             spec,
             frames,
             mode,
@@ -478,14 +487,16 @@ impl SystemSim {
             live_loaded_at: 0,
             backup_cost_by_bits,
             block_suffix,
-            class_cache: None,
+            frame: EnergyFrame::default(),
             compiled: None,
             backup_liveness,
             dirty_masks,
             static_floor,
             rng,
             report: RunReport::default(),
-        }
+        };
+        sim.frame = sim.price();
+        sim
     }
 
     /// Injects a pre-compiled superinstruction table for
@@ -575,6 +586,26 @@ impl SystemSim {
         // like 4-SIMD end up pinned near the top — the paper's "highest
         // threshold" baseline).
         raw.min(self.cfg.capacitor_capacity * 0.95)
+    }
+
+    /// The energy frame at the VM's current configuration.
+    fn price(&self) -> EnergyFrame {
+        let cfg = self.vm.approx();
+        EnergyFrame {
+            cfg,
+            // `ALL` is in `index()` order.
+            class: nvp_isa::InstrClass::ALL.map(|c| self.cfg.energy.instr_energy(c, &cfg)),
+            reserve: self.reserve(),
+            start_threshold: self.start_threshold(),
+        }
+    }
+
+    /// Re-prices the frame if the VM's configuration moved since the last
+    /// call (only `set_approx` moves it: governor, merges, commits).
+    fn refresh_frame(&mut self) {
+        if self.vm.approx() != self.frame.cfg {
+            self.frame = self.price();
+        }
     }
 
     fn approx_span(&self) -> (usize, usize) {
@@ -677,7 +708,7 @@ impl SystemSim {
         emit(tracer, || Event::PowerEmergency {
             tick,
             level_nj: self.cap.level().as_nj(),
-            reserve_nj: self.reserve().as_nj(),
+            reserve_nj: self.frame.reserve.as_nj(),
         });
         let full = self.backup_cost();
         let pc = self.vm.pc();
@@ -1031,40 +1062,21 @@ impl SystemSim {
         self.vm.set_pc(0);
     }
 
-    /// Per-class energies at `cfg`, memoized across instructions (the
-    /// energy formula walks every lane with a fractional power; blocks
-    /// retire thousands of instructions between configuration changes).
-    fn class_energies(&mut self, cfg: &ApproxConfig) -> [Energy; 6] {
-        if let Some((cached, table)) = &self.class_cache {
-            if cached == cfg {
-                return *table;
-            }
-        }
-        let mut table = [Energy::ZERO; 6];
-        for class in nvp_isa::InstrClass::ALL {
-            table[class.index()] = self.cfg.energy.instr_energy(class, cfg);
-        }
-        self.class_cache = Some((*cfg, table));
-        table
-    }
-
-    fn run_tick(&mut self, tick: u64, cursor: &mut FlushCursor, tracer: &mut dyn Tracer) {
+    /// Retires instructions until the tick's cycle budget is spent, a
+    /// backup fires or the run ends. `engine` is the run's engine as
+    /// resolved for its mode, and `compiled` its table (`Compiled` only).
+    fn run_tick(
+        &mut self,
+        tick: u64,
+        engine: ExecEngine,
+        compiled: Option<&CompiledProgram>,
+        cursor: &mut FlushCursor,
+        tracer: &mut dyn Tracer,
+    ) {
         self.report.on_ticks += 1;
         let bits = self.live_data_bits().min(8) as usize;
         self.report.bit_utilization[bits] += 1;
-        // Both certificate engines are bypassed in incidental mode (merge
-        // probes need per-instruction control anyway).
-        let engine = if self.is_incidental() {
-            ExecEngine::Step
-        } else {
-            self.cfg.exec_engine
-        };
-        let block_mode = engine != ExecEngine::Step;
-        let comp = if engine == ExecEngine::Compiled {
-            self.compiled.clone()
-        } else {
-            None
-        };
+        let incidental = self.is_incidental();
         // Instructions whose reserve check is pre-proven by a block-suffix
         // certificate. The proof only spans code where nothing recharges
         // the capacitor or resizes the reserve, so it never outlives the
@@ -1072,97 +1084,78 @@ impl SystemSim {
         let mut armed: u32 = 0;
         let mut cycles = 0u64;
         while cycles < CYCLES_PER_TICK {
-            if self.is_incidental() {
+            if incidental {
                 self.try_merge(tick, tracer);
             }
-            let cfg = self.vm.approx();
+            self.refresh_frame();
+            let pc = self.vm.pc();
             // Armed instructions at covered pcs dispatch through the
-            // superinstruction table: no fetch, no decode, no reserve
-            // check (the certificate pre-proved it). Everything else —
-            // unarmed stretches where an interrupt can land, pcs past a
+            // superinstruction table: no fetch, no decode. Everything else
+            // — unarmed stretches where an interrupt can land, pcs past a
             // compile limit, the other engines — goes through the step
-            // interpreter path below.
-            let chain = armed > 0 && comp.as_deref().is_some_and(|c| c.covers(self.vm.pc()));
-            let (e, klass) = if chain {
-                let klass = comp
-                    .as_deref()
-                    .expect("chain implies table")
-                    .class_of(self.vm.pc());
-                let table = self.class_energies(&cfg);
-                let e = table[klass.index()];
+            // interpreter.
+            let chain = compiled.filter(|c| armed > 0 && c.covers(pc));
+            let klass = match chain {
+                Some(c) => c.class_of(pc),
+                None => match self.vm.peek() {
+                    Some(instr) => instr.class(),
+                    None => {
+                        // Defensive: treat running off the end as frame completion.
+                        self.commit_frames(tick, tracer);
+                        armed = 0;
+                        continue;
+                    }
+                },
+            };
+            let (e, reserve) = (self.frame.class[klass.index()], self.frame.reserve);
+            if armed > 0 {
                 armed -= 1;
                 debug_assert!(
-                    self.cap.level() >= self.reserve() + e,
+                    self.cap.level() >= reserve + e,
                     "block certificate must imply the per-instruction check"
                 );
-                (e, klass)
             } else {
-                let Some(instr) = self.vm.peek() else {
-                    // Defensive: treat running off the end as frame completion.
-                    self.commit_frames(tick, tracer);
-                    armed = 0;
-                    continue;
-                };
-                let klass = instr.class();
-                let e = if block_mode {
-                    let table = self.class_energies(&cfg);
-                    let e = table[klass.index()];
-                    if armed > 0 {
-                        armed -= 1;
-                        debug_assert!(
-                            self.cap.level() >= self.reserve() + e,
-                            "block certificate must imply the per-instruction check"
-                        );
-                    } else {
-                        let (counts, n) = self.block_suffix[self.vm.pc()];
-                        let affordable = n >= 2 && {
-                            let mut suffix = Energy::ZERO;
-                            for (class, &count) in counts.iter().enumerate() {
-                                suffix += table[class] * count as f64;
-                            }
-                            self.cap.level() >= self.reserve() + suffix
-                        };
-                        if affordable {
-                            armed = n - 1;
-                        } else if self.cap.level() < self.reserve() + e {
-                            self.do_backup(tick, cursor, tracer);
-                            return;
+                if engine != ExecEngine::Step {
+                    // Arm when the capacitor covers the block's whole
+                    // suffix from here, priced with the same class energies.
+                    let (counts, n) = self.block_suffix[pc];
+                    let affordable = n >= 2 && {
+                        let mut suffix = Energy::ZERO;
+                        for (class, &count) in counts.iter().enumerate() {
+                            suffix += self.frame.class[class] * count as f64;
                         }
+                        self.cap.level() >= reserve + suffix
+                    };
+                    if affordable {
+                        armed = n - 1;
                     }
-                    e
-                } else {
-                    let e = self.cfg.energy.instr_energy(klass, &cfg);
-                    if self.cap.level() < self.reserve() + e {
-                        self.do_backup(tick, cursor, tracer);
-                        return;
-                    }
-                    e
-                };
-                (e, klass)
-            };
+                }
+                if armed == 0 && self.cap.level() < reserve + e {
+                    self.do_backup(tick, cursor, tracer);
+                    return;
+                }
+            }
             // Drain per instruction even under a block certificate: the
             // sequential f64 subtractions are what keep BlockBudget and
             // Compiled runs bit-identical to Step runs.
             let drained = self.cap.try_drain(e);
             debug_assert!(drained, "reserve check guarantees energy");
             self.report.energy_compute += e;
-            let ev = if chain {
+            let ev = match chain {
                 // The compiled op replicates Vm::step exactly (state,
                 // counters, pc); only fetch/decode/dispatch differ.
-                let c = comp.as_deref().expect("chain implies table");
-                match c
+                Some(c) => match c
                     .step_vm(&mut self.vm)
                     .expect("kernel programs must not fault")
                 {
                     ChainEvent::Executed => StepEvent::Executed(klass),
                     ChainEvent::FrameDone => StepEvent::FrameDone,
                     ChainEvent::Halted => StepEvent::Halted,
-                }
-            } else {
-                self.vm.step().expect("kernel programs must not fault")
+                },
+                None => self.vm.step().expect("kernel programs must not fault"),
             };
             self.report.instructions_retired += 1;
-            self.report.forward_progress += cfg.lanes as u64;
+            self.report.forward_progress += self.frame.cfg.lanes as u64;
             cycles += ev.cycles().max(1);
             match ev {
                 StepEvent::FrameDone => {
@@ -1203,12 +1196,18 @@ impl SystemSim {
     /// - run end: a final `energy_flush` followed by `run_end` carrying the
     ///   report's totals, which makes every complete trace self-checking.
     pub fn run_traced(mut self, profile: &PowerProfile, tracer: &mut dyn Tracer) -> RunReport {
-        if self.cfg.exec_engine == ExecEngine::Compiled && self.compiled.is_none() {
-            self.compiled = Some(Arc::new(compile_kernel(
-                &self.spec.program,
-                self.spec.mem_words,
-            )));
-        }
+        // Both certificate engines are bypassed in incidental mode (merge
+        // probes need per-instruction control anyway).
+        let engine = if self.is_incidental() {
+            ExecEngine::Step
+        } else {
+            self.cfg.exec_engine
+        };
+        let compiled = (engine == ExecEngine::Compiled).then(|| {
+            self.compiled.take().unwrap_or_else(|| {
+                Arc::new(compile_kernel(&self.spec.program, self.spec.mem_words))
+            })
+        });
         let mut cursor = FlushCursor::new();
         let mut monitor = VoltageMonitor::new();
         let mut bits_tracker = BitsTracker::new();
@@ -1235,29 +1234,27 @@ impl SystemSim {
                     });
                 }
             }
-            match self.phase {
-                Phase::Off => {
-                    self.report.bit_utilization[0] += 1;
-                    let threshold = self.start_threshold();
-                    if let Some(up) = monitor.observe(self.cap.level(), threshold) {
-                        emit(tracer, || Event::ThresholdCross {
-                            tick: t.0,
-                            level_nj: self.cap.level().as_nj(),
-                            threshold_nj: threshold.as_nj(),
-                            up,
-                        });
-                    }
-                    if self.cap.level() >= threshold {
-                        self.do_restore(t.0, &mut cursor, tracer);
-                        if self.phase == Phase::Running {
-                            self.run_tick(t.0, &mut cursor, tracer);
-                            // restore consumed the tick's utilization slot
-                            self.report.bit_utilization[0] -= 1;
-                        }
-                    }
+            if self.phase == Phase::Off {
+                self.refresh_frame();
+                let threshold = self.frame.start_threshold;
+                if let Some(up) = monitor.observe(self.cap.level(), threshold) {
+                    emit(tracer, || Event::ThresholdCross {
+                        tick: t.0,
+                        level_nj: self.cap.level().as_nj(),
+                        threshold_nj: threshold.as_nj(),
+                        up,
+                    });
                 }
-                Phase::Running => self.run_tick(t.0, &mut cursor, tracer),
-                Phase::Done => {}
+                if self.cap.level() >= threshold {
+                    // Restore leaves the core running, and the tick counts
+                    // at the bitwidth it runs at.
+                    self.do_restore(t.0, &mut cursor, tracer);
+                } else {
+                    self.report.bit_utilization[0] += 1;
+                }
+            }
+            if self.phase == Phase::Running {
+                self.run_tick(t.0, engine, compiled.as_deref(), &mut cursor, tracer);
             }
         }
         let final_tick = self.report.total_ticks;
@@ -1704,6 +1701,98 @@ mod tests {
         // The governor should have visited more than one width.
         let distinct = rep.bit_utilization[1..].iter().filter(|&&c| c > 0).count();
         assert!(distinct > 1, "utilization {:?}", rep.bit_utilization);
+    }
+
+    /// Asserts the frame holds, bit for bit, what the pricing functions
+    /// return at the VM's current configuration.
+    fn assert_frame_is_direct(sim: &SystemSim, label: &str) {
+        let cfg = sim.vm.approx();
+        let bits = |e: Energy| e.as_nj().to_bits();
+        assert_eq!(
+            sim.frame.cfg, cfg,
+            "{label}: frame priced at another config"
+        );
+        for class in nvp_isa::InstrClass::ALL {
+            assert_eq!(
+                bits(sim.frame.class[class.index()]),
+                bits(sim.cfg.energy.instr_energy(class, &cfg)),
+                "{label}: {class:?} energy"
+            );
+        }
+        assert_eq!(
+            bits(sim.frame.reserve),
+            bits(sim.reserve()),
+            "{label}: reserve"
+        );
+        assert_eq!(
+            bits(sim.frame.start_threshold),
+            bits(sim.start_threshold()),
+            "{label}: start threshold"
+        );
+    }
+
+    #[test]
+    fn energy_frame_equals_direct_pricing_for_every_reachable_config() {
+        let id = KernelId::Sobel;
+        let modes = [
+            ExecMode::Precise,
+            ExecMode::Fixed(ApproxConfig::fixed(4)),
+            ExecMode::Dynamic(Governor::new(2, 8)),
+            ExecMode::Simd4,
+            ExecMode::Incidental(IncidentalSetup::new(4, 8)),
+        ];
+        // The static floor moves the governed modes' threshold config.
+        let floors = [StaticBitsFloor::Off, StaticBitsFloor::Fixed(3)];
+        for (mode, floor) in modes.iter().flat_map(|&m| floors.map(|f| (m, f))) {
+            let cfg = SystemConfig {
+                static_bits_floor: floor,
+                ..Default::default()
+            };
+            let mut sim = SystemSim::new(id.spec(8, 8), small_frames(id, 8, 8, 1), mode, cfg);
+            assert_frame_is_direct(&sim, "fresh simulator");
+            for ac_en in [false, true] {
+                for lanes in 1..=4u8 {
+                    for live in 1..=FULL_BITS {
+                        for rest in 1..=FULL_BITS {
+                            let c = ApproxConfig {
+                                ac_en,
+                                alu_bits: [live, rest, rest, rest],
+                                mem_bits: [live, rest, rest, rest],
+                                lanes,
+                            };
+                            sim.vm.set_approx(c);
+                            sim.refresh_frame();
+                            assert_frame_is_direct(&sim, &format!("{mode:?}/{floor:?}/{c:?}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_approx_to_another_config_reprices_the_frame() {
+        let id = KernelId::Sobel;
+        let mode = ExecMode::Dynamic(Governor::new(1, 8));
+        let mut sim = SystemSim::new(
+            id.spec(8, 8),
+            small_frames(id, 8, 8, 1),
+            mode,
+            Default::default(),
+        );
+        let (wide, narrow) = (ApproxConfig::default(), ApproxConfig::fixed(2));
+        sim.vm.set_approx(wide);
+        sim.refresh_frame();
+        let wide_frame = sim.frame;
+        sim.vm.set_approx(narrow);
+        sim.refresh_frame();
+        assert_frame_is_direct(&sim, "narrow");
+        // A stale hit would have kept the wide prices.
+        assert_ne!(sim.frame.class, wide_frame.class);
+        assert_ne!(sim.frame.reserve, wide_frame.reserve);
+        sim.vm.set_approx(wide);
+        sim.refresh_frame();
+        assert_frame_is_direct(&sim, "wide again");
     }
 
     #[test]
