@@ -1,10 +1,13 @@
 //! Golden report digests: sampling and fold order pinned to exact bytes.
 //!
 //! Each case runs a small spec to completion and compares the FNV-1a
-//! digest of the rendered report with a value captured before the dense
-//! cell table replaced per-device string keys. Any change to the device →
-//! cell draws, to duplicate-item handling or to the fold order moves the
-//! digest. A deliberate change to the report format must re-capture them.
+//! digest of the rendered report with a value captured before the code
+//! it guards changed: the first two before the dense cell table replaced
+//! per-device string keys, the scope case before per-kernel static tables
+//! were shared across simulators. Any change to the device → cell draws,
+//! to duplicate-item handling, to the fold order or to how a cell prices
+//! its backups moves the digest. A deliberate change to the report format
+//! must re-capture them.
 
 use nvp_fleet::spec::fnv1a64;
 use nvp_fleet::{run_chunks, FleetAggregate, RunOptions, RunStatus, ScenarioSpec};
@@ -41,6 +44,22 @@ const DUPLICATED: &str = "fleet-spec-v1\n\
      modes = precise, fixed:4\n\
      engines = step, compiled*2\n";
 
+/// Every backup scope crossed with every governor family and both
+/// dispatch engines: the `live` and `live-dirty` cells price backups from
+/// the kernel's static liveness and synthesized checkpoint masks.
+const SCOPES: &str = "fleet-spec-v1\n\
+     devices = 2000\n\
+     chunk = 512\n\
+     seed = 33\n\
+     ms = 150\n\
+     img = 8\n\
+     frames = 1\n\
+     kernels = sobel, median\n\
+     profiles = p1, p3\n\
+     scopes = full, live, live-dirty\n\
+     modes = precise, fixed:4, dynamic:2-8, incidental:4-8\n\
+     engines = step, compiled\n";
+
 /// One cell, many small chunks (the last one partial).
 const SINGLE_CELL: &str = "fleet-spec-v1\n\
      devices = 300\n\
@@ -56,6 +75,17 @@ fn duplicated_axis_report_matches_its_golden_digest() {
         assert_eq!(
             report_digest(DUPLICATED, jobs),
             15_538_057_868_665_987_960,
+            "jobs {jobs}: report bytes moved"
+        );
+    }
+}
+
+#[test]
+fn scope_mode_engine_report_matches_its_golden_digest() {
+    for jobs in [1, 4] {
+        assert_eq!(
+            report_digest(SCOPES, jobs),
+            14_491_865_625_391_982_261,
             "jobs {jobs}: report bytes moved"
         );
     }
