@@ -28,8 +28,12 @@ pub struct BackupLiveness {
 impl BackupLiveness {
     /// Computes backup-liveness for `program`.
     pub fn compute(program: &Program) -> BackupLiveness {
-        let cfg = Cfg::build(program);
-        let Liveness { live_in, .. } = liveness(program, &cfg);
+        BackupLiveness::compute_with(program, &Cfg::build(program))
+    }
+
+    /// [`BackupLiveness::compute`] over an already-built `cfg` of `program`.
+    pub fn compute_with(program: &Program, cfg: &Cfg) -> BackupLiveness {
+        let Liveness { live_in, .. } = liveness(program, cfg);
         let resume_points = program
             .iter()
             .filter_map(|(pc, i)| match i {

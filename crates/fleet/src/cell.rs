@@ -16,7 +16,7 @@ use incidental::QualityReport;
 use nvp_power::Energy;
 use nvp_repro::catalog;
 use nvp_repro::dims;
-use nvp_sim::{ExecEngine, SystemConfig, SystemSim};
+use nvp_sim::SystemConfig;
 use nvp_trace::{CounterSink, TraceSummary};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -113,12 +113,10 @@ pub(crate) fn evaluate(key: &CellKey, canon: &str) -> Arc<CellOutcome> {
     }
 }
 
-/// Runs the cell's simulation: inputs and compiled tables come from the
-/// shared `nvp_repro::catalog` memos, the power trace from the seeded
-/// profile family.
+/// Runs the cell's simulation: inputs and the kernel's static tables come
+/// from the shared `nvp_repro::catalog` memos, the power trace from the
+/// seeded profile family.
 fn simulate(key: &CellKey) -> CellOutcome {
-    let (w, h) = dims(key.kernel, key.img);
-    let spec = catalog::cached_spec(key.kernel, w, h);
     let frames = catalog::frames_for(key.kernel, key.img, key.frames);
     let trace =
         catalog::synth_profile_member(key.profile, key.trace_ms as f64 / 1000.0, key.member);
@@ -130,12 +128,16 @@ fn simulate(key: &CellKey) -> CellOutcome {
         exec_engine: key.engine,
         ..Default::default()
     };
-    let mut sim = SystemSim::new(spec, frames.clone(), key.mode.exec_mode(), cfg);
-    if key.engine == ExecEngine::Compiled {
-        sim.set_compiled(catalog::compiled_for(key.kernel, w, h));
-    }
+    let sim = catalog::build_sim(
+        key.kernel,
+        key.img,
+        frames.clone(),
+        key.mode.exec_mode(),
+        cfg,
+    );
     let mut sink = CounterSink::new();
     let report = sim.run_traced(&trace, &mut sink);
+    let (w, h) = dims(key.kernel, key.img);
     let quality = QualityReport::score(key.kernel, w, h, &frames, &report);
     let mse = quality.mean_mse();
     CellOutcome {

@@ -14,14 +14,16 @@
 //! uninterrupted run would have. `report` re-renders a finished
 //! snapshot without simulating anything. `bench` times a fixed reference
 //! scenario for BENCH_fleet.json: per device count, a cold row (a spec
-//! seed no earlier row used, so every cell simulates; cells/sec) and a
-//! warm replay of the same spec (only sampling and folding; devices/sec,
-//! with zero cells computed).
+//! seed no earlier row used, so every cell simulates; cells/sec, and the
+//! checkpoint placements synthesized, which only the first row's new
+//! kernels should need) and a warm replay of the same spec (only sampling
+//! and folding; devices/sec, with zero cells computed).
 
 use nvp_fleet::{
     cells_computed, cells_shared, decode_snapshot, encode_snapshot, run_chunks, FleetAggregate,
     Progress, RunOptions, RunStatus, ScenarioSpec,
 };
+use nvp_repro::catalog::placement_synth_count;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -215,10 +217,19 @@ fn bench_spec(devices: u64, seed: u64) -> ScenarioSpec {
     .expect("bench spec is statically valid")
 }
 
-/// One timed fleet run: (seconds, cells computed, cells shared, distinct
-/// cells folded).
-fn timed_run(spec: &ScenarioSpec, jobs: usize) -> Result<(f64, u64, u64, usize), String> {
-    let (computed, shared) = (cells_computed(), cells_shared());
+/// One timed fleet run and the work it did.
+struct Timed {
+    secs: f64,
+    computed: u64,
+    shared: u64,
+    /// Distinct cells folded.
+    cells: usize,
+    /// Checkpoint placements synthesized.
+    synths: u64,
+}
+
+fn timed_run(spec: &ScenarioSpec, jobs: usize) -> Result<Timed, String> {
+    let (computed, shared, synths) = (cells_computed(), cells_shared(), placement_synth_count());
     let mut agg = FleetAggregate::new(spec.clone());
     let start = Instant::now();
     run_chunks(
@@ -230,13 +241,13 @@ fn timed_run(spec: &ScenarioSpec, jobs: usize) -> Result<(f64, u64, u64, usize),
         |_| {},
     )
     .map_err(|e| e.to_string())?;
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    Ok((
-        secs,
-        cells_computed() - computed,
-        cells_shared() - shared,
-        agg.cells.len(),
-    ))
+    Ok(Timed {
+        secs: start.elapsed().as_secs_f64().max(1e-9),
+        computed: cells_computed() - computed,
+        shared: cells_shared() - shared,
+        cells: agg.cells.len(),
+        synths: placement_synth_count() - synths,
+    })
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
@@ -255,13 +266,24 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let (mut cold, mut warm) = (Vec::new(), Vec::new());
     for (row, &n) in (1u64..).zip(&devices) {
         let spec = bench_spec(n, row);
-        let (secs, computed, shared, cells) = timed_run(&spec, jobs)?;
+        let Timed {
+            secs,
+            computed,
+            shared,
+            cells,
+            synths,
+        } = timed_run(&spec, jobs)?;
         cold.push(format!(
-            "{{\"devices\": {n}, \"seed\": {row}, \"seconds\": {secs:.4}, \"distinct_cells\": {cells}, \"cells_computed\": {computed}, \"cells_shared\": {shared}, \"cells_per_sec\": {:.1}}}",
+            "{{\"devices\": {n}, \"seed\": {row}, \"seconds\": {secs:.4}, \"distinct_cells\": {cells}, \"cells_computed\": {computed}, \"cells_shared\": {shared}, \"placement_synths\": {synths}, \"cells_per_sec\": {:.1}}}",
             computed as f64 / secs
         ));
-        eprintln!("cold: {n} devices, {computed} cells computed in {secs:.3}s");
-        let (secs, computed, shared, _) = timed_run(&spec, jobs)?;
+        eprintln!("cold: {n} devices, {computed} cells computed, {synths} placements synthesized in {secs:.3}s");
+        let Timed {
+            secs,
+            computed,
+            shared,
+            ..
+        } = timed_run(&spec, jobs)?;
         warm.push(format!(
             "{{\"devices\": {n}, \"seed\": {row}, \"seconds\": {secs:.4}, \"cells_computed\": {computed}, \"cells_shared\": {shared}, \"devices_per_sec\": {:.0}}}",
             n as f64 / secs

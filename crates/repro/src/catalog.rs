@@ -1,11 +1,15 @@
 //! Shared simulation inputs and request-shaped runner entry points.
 //!
-//! Every consumer of the simulator — the `repro` experiment functions and
-//! the `nvp-serve` service — needs the same three expensive artifacts per
-//! run: a built [`KernelSpec`], a cycled input-frame set, and a synthesized
-//! power trace. This module owns one process-wide memo table for each, so
-//! a sweep, a served request, and a test all hit the *same* cache instead
-//! of rebuilding (or worse, holding three divergent copies).
+//! Every consumer of the simulator — the `repro` experiment functions,
+//! the `nvp-serve` service and the fleet engine — needs the same three
+//! expensive artifacts per run: a kernel's [`KernelTables`] (its built
+//! [`KernelSpec`] and everything derived from the program alone: block
+//! suffixes, backup liveness, the synthesized checkpoint placement, the
+//! static floor and the compiled table), a cycled input-frame set, and a
+//! synthesized power trace. This module owns one process-wide memo table
+//! for each, so a sweep, a served request, a fleet cell and a test all hit
+//! the *same* cache instead of rebuilding (or worse, holding divergent
+//! copies). [`build_sim`] is the one way to build a simulator over them.
 //!
 //! The memo locks recover from poisoning rather than panicking: the cached
 //! values are write-once (insert-then-share `Arc`s / `Arc`-backed specs),
@@ -23,10 +27,11 @@ use nvp_isa::CompiledProgram;
 use nvp_kernels::{KernelId, KernelSpec};
 use nvp_power::synth::WatchProfile;
 use nvp_power::PowerProfile;
-use nvp_sim::{compile_kernel, ExecEngine, ExecMode, RunReport, SystemConfig, SystemSim};
+use nvp_sim::{
+    ExecEngine, ExecMode, KernelTables, RunReport, SystemConfig, SystemSim, TableBuilds,
+};
 use nvp_trace::Tracer;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A lazily-initialized keyed memo table shared across threads.
@@ -43,14 +48,27 @@ fn lock_memo<K, V>(memo: &Memo<K, V>) -> MutexGuard<'_, HashMap<K, V>> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Cache of built kernel specs; the contained `Program` is an `Arc`, so
-/// handing out clones shares one instruction stream across all runs.
-pub fn cached_spec(id: KernelId, w: usize, h: usize) -> KernelSpec {
-    static CACHE: Memo<(KernelId, usize, usize), KernelSpec> = OnceLock::new();
+/// Compilations and syntheses performed by the catalog's tables.
+static BUILDS: TableBuilds = TableBuilds::new();
+
+/// The one memo entry per kernel and dimensions: the built spec plus its
+/// static tables. The map lock covers finding the entry (and building the
+/// spec of a new one); each table is built outside it, exactly once, on
+/// first use (per-field `OnceLock`s in [`KernelTables`]), so workers
+/// building different kernels' tables never serialize and the build
+/// counters stay exact.
+pub(crate) fn kernel_tables(id: KernelId, w: usize, h: usize) -> Arc<KernelTables> {
+    static CACHE: Memo<(KernelId, usize, usize), Arc<KernelTables>> = OnceLock::new();
     lock_memo(&CACHE)
         .entry((id, w, h))
-        .or_insert_with(|| id.spec(w, h))
+        .or_insert_with(|| Arc::new(KernelTables::counted(id.spec(w, h), &BUILDS)))
         .clone()
+}
+
+/// The built kernel spec; the contained `Program` is an `Arc`, so
+/// handing out clones shares one instruction stream across all runs.
+pub fn cached_spec(id: KernelId, w: usize, h: usize) -> KernelSpec {
+    kernel_tables(id, w, h).spec().clone()
 }
 
 /// Builds (or fetches) the cycled input-frame set for a kernel at an image
@@ -70,31 +88,41 @@ pub fn frames_for(id: KernelId, img: usize, frames: usize) -> Frames {
         .clone()
 }
 
-/// Number of superinstruction-table compilations performed process-wide.
-/// Every [`compiled_for`] miss bumps it; hits do not. `nvp-serve` exports
-/// it as `nvp_compile_total`, making cache effectiveness observable.
-static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
-
 /// How many kernel programs have been compiled to superinstruction tables
-/// since process start (cache misses only — a well-warmed service stays
-/// flat at one per distinct kernel × dimensions).
+/// since process start (builds only — a well-warmed service stays flat at
+/// one per distinct kernel × dimensions). `nvp-serve` exports it as
+/// `nvp_compile_total`, making cache effectiveness observable.
 pub fn compile_count() -> u64 {
-    COMPILE_COUNT.load(Ordering::Relaxed)
+    BUILDS.compiles()
+}
+
+/// How many checkpoint placements have been synthesized since process
+/// start: at most one per distinct kernel × dimensions, however many
+/// `BackupScope::LiveDirty` runs read it. `nvp-serve` exports it as
+/// `nvp_placement_synth_total`.
+pub fn placement_synth_count() -> u64 {
+    BUILDS.placements()
 }
 
 /// Compiles (or fetches) the superinstruction table for a kernel at given
 /// frame dimensions, shared behind an `Arc` by every simulation of that
 /// kernel — a sweep of a thousand runs pays for one compilation.
 pub fn compiled_for(id: KernelId, w: usize, h: usize) -> Arc<CompiledProgram> {
-    static CACHE: Memo<(KernelId, usize, usize), Arc<CompiledProgram>> = OnceLock::new();
-    lock_memo(&CACHE)
-        .entry((id, w, h))
-        .or_insert_with(|| {
-            COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
-            let spec = cached_spec(id, w, h);
-            Arc::new(compile_kernel(&spec.program, spec.mem_words))
-        })
-        .clone()
+    Arc::clone(kernel_tables(id, w, h).compiled())
+}
+
+/// Builds a simulator for kernel `id` at image scale `img` over `frames`,
+/// on the kernel's shared [`KernelTables`]: every static table it reads
+/// (compiled table included) is built once per process.
+pub fn build_sim(
+    id: KernelId,
+    img: usize,
+    frames: Frames,
+    mode: ExecMode,
+    cfg: SystemConfig,
+) -> SystemSim {
+    let (w, h) = dims(id, img);
+    SystemSim::with_tables(kernel_tables(id, w, h), frames, mode, cfg)
 }
 
 /// Synthesizes (or fetches) a watch profile's power trace.
@@ -160,24 +188,17 @@ impl RunRequest {
         }
     }
 
-    /// Assembles the simulator (spec, frames and config all drawn from the
-    /// shared caches).
-    fn build_sim(&self) -> (SystemSim, Arc<PowerProfile>) {
-        let (w, h) = dims(self.kernel, self.img);
-        let spec = cached_spec(self.kernel, w, h);
+    /// Assembles the simulator and its power trace from the shared caches.
+    fn prepare(&self) -> (SystemSim, Arc<PowerProfile>) {
         let frames = frames_for(self.kernel, self.img, self.frames);
-        let trace = synth_profile(self.profile, self.trace_seconds);
-        let mut sim = SystemSim::new(spec, frames, self.mode, self.config());
-        if self.engine == ExecEngine::Compiled {
-            sim.set_compiled(compiled_for(self.kernel, w, h));
-        }
-        (sim, trace)
+        let sim = build_sim(self.kernel, self.img, frames, self.mode, self.config());
+        (sim, synth_profile(self.profile, self.trace_seconds))
     }
 }
 
 /// Runs one request to completion.
 pub fn simulate(req: &RunRequest) -> RunReport {
-    let (sim, trace) = req.build_sim();
+    let (sim, trace) = req.prepare();
     sim.run(&trace)
 }
 
@@ -187,7 +208,7 @@ pub fn simulate(req: &RunRequest) -> RunReport {
 /// the same configuration; `nvp-serve` uses this both to stream a JSONL
 /// trace back in responses and to feed its `/metrics` counters.
 pub fn simulate_traced(req: &RunRequest, tracer: &mut dyn Tracer) -> RunReport {
-    let (sim, trace) = req.build_sim();
+    let (sim, trace) = req.prepare();
     sim.run_traced(&trace, tracer)
 }
 

@@ -7,40 +7,22 @@
 //! under the explicitly synthesized placement) across the five watch
 //! profiles — committed outputs must not move, only the backup energy.
 
-use super::{cached_spec, run_system, run_system_on};
+use super::{run_system, run_system_on};
+use crate::catalog::kernel_tables;
 use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{dims, Scale, Table};
-use nvp_analysis::{synthesize, Cfg, CkptOptions};
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_power::PowerProfile;
 use nvp_sim::{BackupScope, CheckpointPlan, ExecMode, SystemConfig};
 
-/// Synthesizes the checkpoint plan for `id` at `scale` dims — the same
-/// computation `BackupScope::LiveDirty` runs internally, made explicit so
-/// a run can be pinned to a reviewed certificate.
+/// The checkpoint plan for `id` at `scale` dims (at least 16 pixels a
+/// side) — the placement `BackupScope::LiveDirty` reads from the catalog,
+/// made explicit so a run can be pinned to a reviewed certificate.
 fn plan_for(id: KernelId, scale: Scale) -> CheckpointPlan {
     let (w, h) = dims(id, scale.img.max(16));
-    let spec = cached_spec(id, w, h);
-    let acfg = Cfg::build(&spec.program);
-    let (bits_lo, bits_hi) = id.declared_bits();
-    let opts = CkptOptions {
-        bits_lo,
-        bits_hi,
-        mem_words: spec.mem_words,
-        ..Default::default()
-    };
-    let synth = synthesize(&spec.program, &acfg, &opts);
-    CheckpointPlan {
-        checkpoints: synth
-            .synthesized
-            .checkpoints
-            .iter()
-            .map(|&(pc, _)| pc)
-            .collect(),
-        masks: synth.synthesized.masks,
-    }
+    kernel_tables(id, w, h).checkpoint_plan()
 }
 
 /// Placement certificates and the scope comparison across watch profiles.
@@ -60,16 +42,8 @@ pub fn ckpt(scale: Scale) -> Vec<Table> {
     );
     for cells in sweep(scale, KernelId::ALL.to_vec(), |id| {
         let (w, h) = dims(id, scale.img.max(16));
-        let spec = cached_spec(id, w, h);
-        let acfg = Cfg::build(&spec.program);
-        let (bits_lo, bits_hi) = id.declared_bits();
-        let opts = CkptOptions {
-            bits_lo,
-            bits_hi,
-            mem_words: spec.mem_words,
-            ..Default::default()
-        };
-        let s = synthesize(&spec.program, &acfg, &opts);
+        let tables = kernel_tables(id, w, h);
+        let s = tables.placement();
         let infeasible = if s.synthesized.infeasible_bits.is_empty() {
             "-".to_string()
         } else {

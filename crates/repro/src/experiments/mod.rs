@@ -31,7 +31,7 @@ pub use visual::images;
 pub use wcecx::wcec;
 
 use crate::sweep::{capture_active, capture_append};
-use crate::{dims, Scale, Table};
+use crate::{Scale, Table};
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_power::PowerProfile;
@@ -135,6 +135,24 @@ pub(crate) fn make_frames(id: KernelId, scale: Scale) -> Frames {
     crate::catalog::frames_for(id, scale.img, scale.frames)
 }
 
+/// The simulator an experiment run uses: the default experiment
+/// configuration (outputs unrecorded, the `--engine` default) after
+/// `tweak`, over the catalog's shared tables and frames.
+fn experiment_sim(
+    id: KernelId,
+    scale: Scale,
+    mode: ExecMode,
+    tweak: impl FnOnce(&mut SystemConfig),
+) -> SystemSim {
+    let mut cfg = SystemConfig {
+        record_outputs: false,
+        exec_engine: default_engine(),
+        ..Default::default()
+    };
+    tweak(&mut cfg);
+    crate::catalog::build_sim(id, scale.img, make_frames(id, scale), mode, cfg)
+}
+
 /// Runs one kernel/mode/policy combination over a watch profile.
 pub(crate) fn run_system(
     id: KernelId,
@@ -143,23 +161,9 @@ pub(crate) fn run_system(
     mode: ExecMode,
     tweak: impl FnOnce(&mut SystemConfig),
 ) -> RunReport {
-    let (w, h) = dims(id, scale.img);
-    let spec = cached_spec(id, w, h);
-    let frames = make_frames(id, scale);
-    let mut cfg = SystemConfig {
-        record_outputs: false,
-        exec_engine: default_engine(),
-        ..Default::default()
-    };
-    tweak(&mut cfg);
     let trace = synth_profile(profile, scale.trace_seconds);
     let label = format!("{id:?}/{profile:?}/{}", mode_tag(&mode));
-    let engine = cfg.exec_engine;
-    let mut sim = SystemSim::new(spec, frames, mode, cfg);
-    if engine == ExecEngine::Compiled {
-        sim.set_compiled(crate::catalog::compiled_for(id, w, h));
-    }
-    run_maybe_traced(sim, &trace, label)
+    run_maybe_traced(experiment_sim(id, scale, mode, tweak), &trace, label)
 }
 
 /// Like [`run_system`] but over an explicit trace.
@@ -170,22 +174,8 @@ pub(crate) fn run_system_on(
     mode: ExecMode,
     tweak: impl FnOnce(&mut SystemConfig),
 ) -> RunReport {
-    let (w, h) = dims(id, scale.img);
-    let spec = cached_spec(id, w, h);
-    let frames = make_frames(id, scale);
-    let mut cfg = SystemConfig {
-        record_outputs: false,
-        exec_engine: default_engine(),
-        ..Default::default()
-    };
-    tweak(&mut cfg);
     let label = format!("{id:?}/custom/{}", mode_tag(&mode));
-    let engine = cfg.exec_engine;
-    let mut sim = SystemSim::new(spec, frames, mode, cfg);
-    if engine == ExecEngine::Compiled {
-        sim.set_compiled(crate::catalog::compiled_for(id, w, h));
-    }
-    run_maybe_traced(sim, trace, label)
+    run_maybe_traced(experiment_sim(id, scale, mode, tweak), trace, label)
 }
 
 /// Every experiment in paper order; used by `repro all`.

@@ -192,12 +192,17 @@ impl Metrics {
         ] {
             line(name, read(counter).to_string());
         }
-        // Superinstruction-table compilations (the `compile` phase): the
-        // catalog memo makes this flat at one per kernel × dimensions, and
-        // comparing it against the compiled-run count shows cache health.
+        // Superinstruction-table compilations (the `compile` phase) and
+        // checkpoint-placement syntheses (live-dirty fleet cells): the
+        // catalog memo makes each flat at one per kernel × dimensions, and
+        // comparing them against the run counts shows cache health.
         line(
             "nvp_compile_total",
             nvp_repro::catalog::compile_count().to_string(),
+        );
+        line(
+            "nvp_placement_synth_total",
+            nvp_repro::catalog::placement_synth_count().to_string(),
         );
         // Fleet jobs: how many populations the service has run, and how
         // much per-cell simulation the process-wide cell cache let
@@ -304,6 +309,7 @@ mod tests {
         assert!(text.contains("nvp_cache_entries 7\n"));
         assert!(text.contains("nvp_sim_events_total 0\n"));
         assert!(text.contains("nvp_compile_total "));
+        assert!(text.contains("nvp_placement_synth_total "));
     }
 
     #[test]

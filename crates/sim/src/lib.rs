@@ -15,6 +15,9 @@
 //! * [`system`] — the execution state machine with roll-back (conventional
 //!   NVP) and roll-forward (incidental) recovery, incidental SIMD lane
 //!   management and retention-shaped backup decay,
+//! * [`tables`] — per-kernel static tables (block suffixes, backup
+//!   liveness, the synthesized checkpoint placement, the static floor and
+//!   the compiled table), built once and shared across simulators,
 //! * [`resume`] — the 4-entry non-volatile resume-point controller
 //!   (Section 4),
 //! * [`quickrun`] — power-free fixed-configuration runs for the
@@ -30,6 +33,7 @@ pub mod governor;
 pub mod quickrun;
 pub mod resume;
 pub mod system;
+pub mod tables;
 pub mod waitcompute;
 
 pub use energy::EnergyModel;
@@ -39,4 +43,5 @@ pub use system::{
     compile_kernel, BackupScope, CheckpointPlan, CommittedFrame, ExecEngine, ExecMode,
     IncidentalSetup, RunReport, SystemConfig, SystemSim,
 };
+pub use tables::{KernelTables, TableBuilds};
 pub use waitcompute::{WaitComputeReport, WaitComputeSim};

@@ -12,7 +12,7 @@
 use crate::energy::{EnergyModel, FlushCursor};
 use crate::governor::{BitsTracker, Governor, StaticBitsFloor};
 use crate::resume::{PendingFrame, ResumeController, PARK_SLOTS};
-use nvp_analysis::BackupLiveness;
+use crate::tables::{BlockSuffix, KernelTables};
 use nvp_isa::approx::FULL_BITS;
 use nvp_isa::{ApproxConfig, ChainEvent, CompiledProgram, StepEvent, Vm, NUM_REGS};
 use nvp_kernels::KernelSpec;
@@ -239,8 +239,8 @@ pub enum BackupScope {
     /// [`nvp_analysis::dirty`]): clean state already persists from the
     /// previous crossing, so rewriting it buys nothing. Masks come from
     /// [`SystemConfig::checkpoint_plan`] when one is supplied; otherwise
-    /// the simulator synthesizes a placement
-    /// ([`nvp_analysis::ckpt_place`]) at construction. A pc outside the
+    /// from the placement the kernel's [`KernelTables`] synthesize
+    /// ([`nvp_analysis::ckpt_place`]), once per tables. A pc outside the
     /// mask table degrades that backup to full state and traces a
     /// `backup_scope_fallback` warning.
     LiveDirty,
@@ -354,7 +354,9 @@ enum Phase {
 /// The system-level simulator.
 #[derive(Debug)]
 pub struct SystemSim {
-    spec: KernelSpec,
+    /// The kernel and everything derived from its program alone, shared
+    /// with every other simulator built over the same tables.
+    tables: Arc<KernelTables>,
     /// Input frames, shared immutably: a sweep running many configurations
     /// of the same workload clones the `Arc`, not the pixel data.
     frames: Arc<Vec<Vec<i32>>>,
@@ -371,22 +373,11 @@ pub struct SystemSim {
     /// Tick at which the live frame's data was loaded (staleness clock).
     live_loaded_at: u64,
     backup_cost_by_bits: [Energy; 9],
-    /// Per-pc basic-block suffix: instruction counts by class and suffix
-    /// length, from this pc through the end of its block. This is the
-    /// static certificate [`ExecEngine::BlockBudget`] prices blocks with.
-    block_suffix: Vec<([u32; 6], u32)>,
     /// Prices at the VM's configuration as of the last `refresh_frame`.
     frame: EnergyFrame,
-    /// Pre-decoded superinstruction table for [`ExecEngine::Compiled`].
-    /// Injected via [`SystemSim::set_compiled`] (the repro catalog shares
-    /// one per kernel) or compiled lazily at run start.
+    /// Superinstruction table injected via [`SystemSim::set_compiled`];
+    /// without one, [`ExecEngine::Compiled`] runs use the tables' own.
     compiled: Option<Arc<CompiledProgram>>,
-    /// Per-pc live register sets (drives `BackupScope::LiveOnly`).
-    backup_liveness: BackupLiveness,
-    /// Per-pc `live ∩ dirty` masks (drives `BackupScope::LiveDirty`): the
-    /// supplied [`CheckpointPlan`]'s table, else a placement synthesized
-    /// at construction when the scope needs one.
-    dirty_masks: Option<Vec<u16>>,
     /// Resolved static safe-bits floor (1 = no clamp).
     static_floor: u8,
     rng: SmallRng,
@@ -395,7 +386,7 @@ pub struct SystemSim {
 
 impl SystemSim {
     /// Creates a simulator for `spec` over `frames` (cycled if the run
-    /// outlasts them).
+    /// outlasts them), deriving the kernel's static tables privately.
     ///
     /// # Panics
     ///
@@ -406,6 +397,23 @@ impl SystemSim {
         mode: ExecMode,
         cfg: SystemConfig,
     ) -> Self {
+        Self::with_tables(Arc::new(KernelTables::new(spec)), frames, mode, cfg)
+    }
+
+    /// Creates a simulator over shared per-kernel `tables`: runs built
+    /// from one `Arc` derive each static table once between them, and
+    /// report exactly what [`SystemSim::new`] over the same spec would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` is empty or any frame has the wrong length.
+    pub fn with_tables(
+        tables: Arc<KernelTables>,
+        frames: impl Into<Arc<Vec<Vec<i32>>>>,
+        mode: ExecMode,
+        cfg: SystemConfig,
+    ) -> Self {
+        let spec = tables.spec();
         let frames = frames.into();
         assert!(!frames.is_empty(), "need at least one input frame");
         for f in frames.iter() {
@@ -426,53 +434,26 @@ impl SystemSim {
         let controller =
             ResumeController::with_capacity(spec.program.loop_var_mask(), cfg.park_slots as usize);
         let rng = SmallRng::seed_from_u64(cfg.seed);
-        let backup_liveness = BackupLiveness::compute(&spec.program);
-        // LiveDirty masks: honor an explicit plan; otherwise synthesize a
-        // placement. The declared placement of the shipped kernels is one
-        // whole-program region (a single resume marker at pc 0), under
-        // which every live register is also dirty — synthesizing is what
-        // makes LiveDirty strictly cheaper than LiveOnly.
-        let dirty_masks = match (&cfg.checkpoint_plan, cfg.backup_scope) {
-            (Some(plan), _) => Some(plan.masks.clone()),
-            (None, BackupScope::LiveDirty) => {
-                let acfg = nvp_analysis::Cfg::build(&spec.program);
-                let (bits_lo, bits_hi) = spec.id.declared_bits();
-                let opts = nvp_analysis::CkptOptions {
-                    bits_lo,
-                    bits_hi,
-                    mem_words: spec.mem_words,
-                    ..Default::default()
-                };
-                Some(
-                    nvp_analysis::synthesize(&spec.program, &acfg, &opts)
-                        .synthesized
-                        .masks,
-                )
+        // Build what this configuration reads up front, so a run never
+        // stalls on an analysis mid-trace.
+        match cfg.backup_scope {
+            BackupScope::FullState => {}
+            BackupScope::LiveOnly => {
+                tables.backup_liveness();
             }
-            _ => None,
-        };
-        let mut block_suffix = vec![([0u32; 6], 0u32); spec.program.len()];
-        for blk in nvp_analysis::Cfg::build(&spec.program).blocks() {
-            let mut counts = [0u32; 6];
-            let mut n = 0u32;
-            for pc in blk.pcs().rev() {
-                let class = spec.program.fetch(pc).expect("pc in range").class();
-                counts[class.index()] += 1;
-                n += 1;
-                block_suffix[pc] = (counts, n);
+            BackupScope::LiveDirty => {
+                if cfg.checkpoint_plan.is_none() {
+                    tables.placement();
+                }
             }
         }
         let static_floor = match cfg.static_bits_floor {
             StaticBitsFloor::Off => 1,
             StaticBitsFloor::Fixed(b) => b.clamp(1, FULL_BITS),
-            StaticBitsFloor::Auto => nvp_analysis::static_floor(
-                &spec.program,
-                spec.id.sanitized_regs(),
-                Some(spec.mem_words),
-            ),
+            StaticBitsFloor::Auto => tables.auto_floor(),
         };
         let mut sim = SystemSim {
-            spec,
+            tables,
             frames,
             mode,
             cfg,
@@ -486,11 +467,8 @@ impl SystemSim {
             outage_start: 0,
             live_loaded_at: 0,
             backup_cost_by_bits,
-            block_suffix,
             frame: EnergyFrame::default(),
             compiled: None,
-            backup_liveness,
-            dirty_masks,
             static_floor,
             rng,
             report: RunReport::default(),
@@ -500,23 +478,23 @@ impl SystemSim {
     }
 
     /// Injects a pre-compiled superinstruction table for
-    /// [`ExecEngine::Compiled`], so fleets of runs over one kernel share a
-    /// single compilation (the repro catalog memoises these per kernel).
-    /// Without injection the simulator compiles lazily at run start.
+    /// [`ExecEngine::Compiled`], overriding the one in this simulator's
+    /// [`KernelTables`] (compiled on first use, once per tables).
     ///
     /// # Panics
     ///
     /// Panics if the table was compiled for a different program length or
     /// data-memory size than this simulator's kernel.
     pub fn set_compiled(&mut self, compiled: Arc<CompiledProgram>) {
+        let spec = self.tables.spec();
         assert_eq!(
             compiled.len(),
-            self.spec.program.len(),
+            spec.program.len(),
             "compiled table does not match the kernel program"
         );
         assert_eq!(
             compiled.mem_words(),
-            self.spec.mem_words,
+            spec.mem_words,
             "compiled table does not match the kernel memory size"
         );
         self.compiled = Some(compiled);
@@ -609,10 +587,8 @@ impl SystemSim {
     }
 
     fn approx_span(&self) -> (usize, usize) {
-        (
-            self.spec.input.start as usize,
-            self.spec.output.end as usize,
-        )
+        let spec = self.tables.spec();
+        (spec.input.start as usize, spec.output.end as usize)
     }
 
     fn input_frame(&self, index: u64) -> &[i32] {
@@ -626,7 +602,7 @@ impl SystemSim {
     /// are subject to memory-bit truncation.
     fn load_frame(&mut self, index: u64, version: usize) {
         let data = self.input_frame(index).to_vec();
-        let spec = &self.spec;
+        let spec = self.tables.spec();
         spec.load_input(self.vm.mem_mut(), version, &data);
         spec.clear_output(self.vm.mem_mut(), version);
     }
@@ -718,14 +694,14 @@ impl SystemSim {
         // beats silently under-persisting).
         let frac = match self.cfg.backup_scope {
             BackupScope::FullState => None,
-            BackupScope::LiveOnly => {
-                (pc < self.spec.program.len()).then(|| self.backup_liveness.live_fraction(pc))
+            BackupScope::LiveOnly => (pc < self.tables.spec().program.len())
+                .then(|| self.tables.backup_liveness().live_fraction(pc)),
+            BackupScope::LiveDirty => match &self.cfg.checkpoint_plan {
+                Some(plan) => &plan.masks,
+                None => &self.tables.placement().synthesized.masks,
             }
-            BackupScope::LiveDirty => self
-                .dirty_masks
-                .as_ref()
-                .and_then(|m| m.get(pc))
-                .map(|&mask| f64::from(mask.count_ones()) / NUM_REGS as f64),
+            .get(pc)
+            .map(|&mask| f64::from(mask.count_ones()) / NUM_REGS as f64),
         };
         if frac.is_none() && self.cfg.backup_scope != BackupScope::FullState {
             emit(tracer, || Event::BackupScopeFallback {
@@ -1008,8 +984,8 @@ impl SystemSim {
             let input_index = self.active_inputs[l];
             let (output, precision) = if self.cfg.record_outputs {
                 (
-                    self.spec.read_output(self.vm.mem(), l),
-                    self.spec.read_output_precision(self.vm.mem(), l),
+                    self.tables.spec().read_output(self.vm.mem(), l),
+                    self.tables.spec().read_output_precision(self.vm.mem(), l),
                 )
             } else {
                 (Vec::new(), Vec::new())
@@ -1063,12 +1039,14 @@ impl SystemSim {
     }
 
     /// Retires instructions until the tick's cycle budget is spent, a
-    /// backup fires or the run ends. `engine` is the run's engine as
-    /// resolved for its mode, and `compiled` its table (`Compiled` only).
+    /// backup fires or the run ends. `suffixes` is the block-suffix
+    /// certificate table (certificate engines only) and `compiled` the
+    /// superinstruction table (`Compiled` only), for the run's engine as
+    /// resolved for its mode.
     fn run_tick(
         &mut self,
         tick: u64,
-        engine: ExecEngine,
+        suffixes: Option<&[BlockSuffix]>,
         compiled: Option<&CompiledProgram>,
         cursor: &mut FlushCursor,
         tracer: &mut dyn Tracer,
@@ -1115,10 +1093,10 @@ impl SystemSim {
                     "block certificate must imply the per-instruction check"
                 );
             } else {
-                if engine != ExecEngine::Step {
+                if let Some(suffixes) = suffixes {
                     // Arm when the capacitor covers the block's whole
                     // suffix from here, priced with the same class energies.
-                    let (counts, n) = self.block_suffix[pc];
+                    let (counts, n) = suffixes[pc];
                     let affordable = n >= 2 && {
                         let mut suffix = Energy::ZERO;
                         for (class, &count) in counts.iter().enumerate() {
@@ -1203,10 +1181,12 @@ impl SystemSim {
         } else {
             self.cfg.exec_engine
         };
+        let tables = Arc::clone(&self.tables);
+        let suffixes = (engine != ExecEngine::Step).then(|| tables.block_suffix());
         let compiled = (engine == ExecEngine::Compiled).then(|| {
-            self.compiled.take().unwrap_or_else(|| {
-                Arc::new(compile_kernel(&self.spec.program, self.spec.mem_words))
-            })
+            self.compiled
+                .take()
+                .unwrap_or_else(|| Arc::clone(tables.compiled()))
         });
         let mut cursor = FlushCursor::new();
         let mut monitor = VoltageMonitor::new();
@@ -1254,7 +1234,7 @@ impl SystemSim {
                 }
             }
             if self.phase == Phase::Running {
-                self.run_tick(t.0, engine, compiled.as_deref(), &mut cursor, tracer);
+                self.run_tick(t.0, suffixes, compiled.as_deref(), &mut cursor, tracer);
             }
         }
         let final_tick = self.report.total_ticks;
